@@ -11,17 +11,10 @@ of added rectangles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
-from .geometry import (
-    Point,
-    Polygon,
-    Rect,
-    point_in_region_crossing,
-)
-
-_HALF = Fraction(1, 2)
+from .geometry import Point, Polygon, Rect, build_cell_grid
 
 __all__ = ["Completion", "complete_to_rectangle", "verify_complement"]
 
@@ -40,28 +33,18 @@ def complete_to_rectangle(region: Polygon) -> Completion:
     coordinate is drawn from the region's own vertex coordinates, and the
     added list is ordered row-major by lower-left corner.
     """
-    xs = sorted({p.x for loop in region.loops for p in loop})
-    ys = sorted({p.y for loop in region.loops for p in loop})
+    grid = build_cell_grid(region, ())
+    xs, ys = grid.xs, grid.ys
     bounding = Rect(Point(xs[0], ys[0]), xs[-1] - xs[0], ys[-1] - ys[0])
     added: list[Rect] = []
-    for j in range(len(ys) - 1):
-        my = (ys[j] + ys[j + 1]) * _HALF
-        run_start: int | None = None
-        for i in range(len(xs) - 1):
-            mx = (xs[i] + xs[i + 1]) * _HALF
-            outside = not point_in_region_crossing(region, Point(mx, my))
-            if outside and run_start is None:
-                run_start = i
-            if (not outside or i == len(xs) - 2) and run_start is not None:
-                stop = i + 1 if outside else i
-                added.append(
-                    Rect(
-                        Point(xs[run_start], ys[j]),
-                        xs[stop] - xs[run_start],
-                        ys[j + 1] - ys[j],
-                    )
-                )
-                run_start = None
+    for j, flags in enumerate(grid.inside):
+        y, height = ys[j], ys[j + 1] - ys[j]
+        i = 0
+        for inside, run in groupby(flags):
+            stop = i + sum(1 for _ in run)
+            if not inside:
+                added.append(Rect(Point(xs[i], y), xs[stop] - xs[i], height))
+            i = stop
     return Completion(bounding, tuple(added))
 
 
@@ -69,30 +52,13 @@ def verify_complement(region: Polygon, bounding: Rect, added: Sequence[Rect]) ->
     """True iff every induced grid cell of the bounding rectangle lies in
     exactly one of the region and the added rectangles (and nothing pokes
     outside the bounding rectangle)."""
-    xs = {p.x for loop in region.loops for p in loop}
-    ys = {p.y for loop in region.loops for p in loop}
-    xs.update((bounding.x, bounding.x2))
-    ys.update((bounding.y, bounding.y2))
-    for r in added:
-        xs.update((r.x, r.x2))
-        ys.update((r.y, r.y2))
-    sx = sorted(xs)
-    sy = sorted(ys)
-    for j in range(len(sy) - 1):
-        my = (sy[j] + sy[j + 1]) * _HALF
-        for i in range(len(sx) - 1):
-            mx = (sx[i] + sx[i + 1]) * _HALF
-            pt = Point(mx, my)
-            in_bounding = (
-                bounding.x < pt.x < bounding.x2 and bounding.y < pt.y < bounding.y2
-            )
-            in_region = point_in_region_crossing(region, pt)
-            cover = sum(
-                1
-                for r in added
-                if r.x < pt.x < r.x2 and r.y < pt.y < r.y2
-            )
-            want = 1 if in_bounding else 0
-            if int(in_region) + cover != want:
+    grid = build_cell_grid(region, (bounding, *added))
+    cover = grid.count_cover(added)
+    bi0, bi1, bj0, bj1 = grid.index_box(bounding)
+    for j, (flags, counts) in enumerate(zip(grid.inside, cover)):
+        in_rows = bj0 <= j < bj1
+        for i, (inside, c) in enumerate(zip(flags, counts)):
+            want = 1 if in_rows and bi0 <= i < bi1 else 0
+            if inside + c != want:
                 return False
     return True

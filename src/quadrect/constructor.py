@@ -241,7 +241,8 @@ def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTr
     """
     _check_search_inputs(y, r, max_leaves)
     nodes, _levels, target_entry = _expand(y.field, r, max_leaves, y)
-    assert target_entry is not None
+    if target_entry is None:
+        raise ArithmeticError("level search returned no entry for the target ratio")
     tkey, tinv = target_entry
     if tkey not in nodes:
         return None

@@ -2,17 +2,22 @@
 
 All verification runs on the induced coordinate grid: collect every distinct
 x and y coordinate appearing in the region and the tiles, and the resulting
-cells are the atoms of the check.  Cell midpoints stay inside the field, so
-point-in-region queries are exact sign computations and every verdict comes
-with a witness cell.  This trades asymptotic speed for auditability, which
-is the right trade at the instance sizes this package targets.
+cells are the atoms of the check.  Exact arithmetic is needed only to sort
+and index those coordinates; after that one row sweep over grid indices
+decides which cells lie inside the region, and a 2-D difference array counts
+how many tiles cover each cell, both in integer operations.  Every failure
+still names a witness cell whose midpoint stays inside the field, so any
+independent tool can re-check it with an exact point-in-region test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from itertools import accumulate
+from operator import add
+from typing import Iterable, Sequence
 
 from .exactfield import FieldParam, Quad
 
@@ -381,9 +386,60 @@ class CellGrid:
             self.ys[j + 1] - self.ys[j],
         )
 
+    @cached_property
+    def _index(self) -> tuple[dict[Quad, int], dict[Quad, int]]:
+        return (
+            {x: i for i, x in enumerate(self.xs)},
+            {y: j for j, y in enumerate(self.ys)},
+        )
+
+    def index_box(self, rect: Rect) -> tuple[int, int, int, int]:
+        """Cell index range ``(i0, i1, j0, j1)`` of a rectangle whose corners
+        lie on the grid: it covers cells ``i0 <= i < i1``, ``j0 <= j < j1``."""
+        xi, yi = self._index
+        return xi[rect.x], xi[rect.x2], yi[rect.y], yi[rect.y2]
+
+    def count_cover(self, rects: Iterable[Rect]) -> tuple[tuple[int, ...], ...]:
+        """Number of the given grid-aligned rectangles covering each cell."""
+        return _box_counts(map(self.index_box, rects), self.nx, self.ny)
+
+
+def _box_counts(
+    boxes: Iterable[tuple[int, int, int, int]], nx: int, ny: int
+) -> tuple[tuple[int, ...], ...]:
+    """For each cell, how many index boxes ``[i0, i1) x [j0, j1)`` contain it.
+
+    A 2-D difference array: four integer updates per box, then running sums
+    along each row and down the columns, O(boxes + nx*ny) in all.
+    """
+    diff = [[0] * (nx + 1) for _ in range(ny + 1)]
+    for i0, i1, j0, j1 in boxes:
+        diff[j0][i0] += 1
+        diff[j0][i1] -= 1
+        diff[j1][i0] -= 1
+        diff[j1][i1] += 1
+    counts = []
+    below = (0,) * nx
+    for j in range(ny):
+        below = tuple(map(add, below, accumulate(diff[j][:nx])))
+        counts.append(below)
+    return tuple(counts)
+
 
 def build_cell_grid(region: Polygon, tiles: Sequence[Rect]) -> CellGrid:
-    """Sorted coordinate lists plus exact inside flags per induced cell."""
+    """Sorted coordinate lists plus exact inside flags per induced cell.
+
+    The flags come from a row sweep that applies the crossing rule of
+    ``point_in_region_crossing`` to every cell midpoint at once.  A vertical
+    edge at grid column ``k`` spanning rows ``lo <= j < hi`` crosses the +x
+    ray from a midpoint in row ``j`` exactly when the cell lies left of the
+    edge (``i < k``), and the half-open row range is the ray's half-open rule
+    at the edge's endpoints.  So each edge contributes the index box
+    ``[0, k) x [lo, hi)``, and a cell is inside iff an odd number of boxes
+    cover it.  Parity over all loops at once equals the per-loop test
+    because holes are disjoint, not nested, and strictly inside the outer
+    loop.
+    """
     xs = {p.x for loop in region.loops for p in loop}
     ys = {p.y for loop in region.loops for p in loop}
     for t in tiles:
@@ -393,15 +449,17 @@ def build_cell_grid(region: Polygon, tiles: Sequence[Rect]) -> CellGrid:
         ys.update((t.y, t.y2))
     sx = tuple(sorted(xs))
     sy = tuple(sorted(ys))
-    inside = []
-    for j in range(len(sy) - 1):
-        my = (sy[j] + sy[j + 1]) * _HALF
-        row = []
-        for i in range(len(sx) - 1):
-            mx = (sx[i] + sx[i + 1]) * _HALF
-            row.append(point_in_region_crossing(region, Point(mx, my)))
-        inside.append(tuple(row))
-    return CellGrid(sx, sy, tuple(inside))
+    xi = {x: i for i, x in enumerate(sx)}
+    yi = {y: j for j, y in enumerate(sy)}
+    spans = (
+        (0, xi[e.fixed], yi[e.lo], yi[e.hi])
+        for edges in region._edges  # type: ignore[attr-defined]
+        for e in edges
+        if e.vertical
+    )
+    crossings = _box_counts(spans, len(sx) - 1, len(sy) - 1)
+    inside = tuple(tuple(c & 1 == 1 for c in row) for row in crossings)
+    return CellGrid(sx, sy, inside)
 
 
 @dataclass(frozen=True)
@@ -426,37 +484,33 @@ def verify_tiling(dissection: Dissection) -> VerifyReport:
 
     Valid means: every interior cell is covered by exactly one tile and every
     exterior cell by none.  Failures are reported, never raised, each with a
-    witness cell.  On success the tile areas are additionally asserted to sum
-    to the exact region area.
+    witness cell.  On success the tile areas must additionally sum to the
+    exact region area; a mismatch is an internal fault and raises
+    ``ArithmeticError``.
     """
     region, tiles = dissection.region, dissection.tiles
     grid = build_cell_grid(region, tiles)
-    xi = {x: i for i, x in enumerate(grid.xs)}
-    yi = {y: j for j, y in enumerate(grid.ys)}
-    cover = [[0] * grid.nx for _ in range(grid.ny)]
-    for t in tiles:
-        for j in range(yi[t.y], yi[t.y2]):
-            row = cover[j]
-            for i in range(xi[t.x], xi[t.x2]):
-                row[i] += 1
+    cover = grid.count_cover(tiles)
     issues = []
-    for j in range(grid.ny):
-        for i in range(grid.nx):
-            c = cover[j][i]
-            if grid.inside[j][i]:
-                if c == 0:
-                    issues.append(CellIssue("gap", i, j, grid.midpoint(i, j), c))
-                elif c > 1:
-                    issues.append(CellIssue("overlap", i, j, grid.midpoint(i, j), c))
-            elif c > 0:
-                issues.append(CellIssue("protrusion", i, j, grid.midpoint(i, j), c))
+    for j, (flags, counts) in enumerate(zip(grid.inside, cover)):
+        for i, (inside, c) in enumerate(zip(flags, counts)):
+            if inside:
+                if c == 1:
+                    continue
+                kind = "gap" if c == 0 else "overlap"
+            elif c == 0:
+                continue
+            else:
+                kind = "protrusion"
+            issues.append(CellIssue(kind, i, j, grid.midpoint(i, j), c))
     valid = not issues
     if valid:
         total = region.field.zero
         for t in tiles:
             total = total + t.area
-        assert total == polygon_area(region), "tile areas do not sum to the region area"
-    return VerifyReport(valid, grid, tuple(tuple(r) for r in cover), tuple(issues))
+        if total != polygon_area(region):
+            raise ArithmeticError("tile areas do not sum to the region area")
+    return VerifyReport(valid, grid, cover, tuple(issues))
 
 
 def tiles_equal(dissection: Dissection) -> tuple[Quad, Quad] | None:

@@ -249,7 +249,7 @@ def separation_certificate(
     f: Fraction | int,
     p: Fraction | int,
 ) -> SeparationCertificate:
-    """Quarter discriminant (a**2 - p*b**2)(e**2 - f**2*a**2/b**2), asserted
+    """Quarter discriminant (a**2 - p*b**2)(e**2 - f**2*a**2/b**2), checked
     negative, plus the common ABC-area sign of ratio-(a + b*sqrt(p))
     rectangles, which is the sign of f*a - e*b."""
     a, b, e, f, field = _separation_inputs(
@@ -258,7 +258,9 @@ def separation_certificate(
     params = ABCParams(f, -e, 2 * f * a * a / (b * b) - field.p * f)
     p_val = field.p
     disc4 = (a * a - p_val * b * b) * (e * e - f * f * a * a / (b * b))
-    assert disc4 < 0, "separation discriminant must be negative"
+    if disc4 >= 0:
+        raise ArithmeticError("separation discriminant must be negative")
     lead = f * a - e * b
-    assert lead != 0, "leading coefficient of the separation form must not vanish"
+    if lead == 0:
+        raise ArithmeticError("leading coefficient of the separation form must not vanish")
     return SeparationCertificate(params, disc4, 1 if lead > 0 else -1)

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +201,29 @@ class TestVerify:
         )
         assert verify_tiling(moved).valid
 
+    def test_area_mismatch_raises_under_python_o(self):
+        # The area check is an explicit exception, so -O cannot strip it.
+        script = textwrap.dedent("""
+            import quadrect.geometry as g
+            from quadrect import FieldParam, pinwheel_dissection
+            if __debug__:
+                raise SystemExit("not running under python -O")
+            F2 = FieldParam(2)
+            g.polygon_area = lambda region: F2.zero
+            try:
+                g.verify_tiling(pinwheel_dissection(F2.quad(3), F2.quad(1)))
+            except ArithmeticError as exc:
+                print(exc)
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "tile areas do not sum to the region area"
+
     def test_tile_area_sum_matches_region(self, rng):
         for _ in range(25):
             d = random_guillotine(rng, random_good_rect(rng, F2), max_depth=4)
@@ -271,8 +299,9 @@ class TestPointInRegion:
             for j in range(grid.ny):
                 for i in range(grid.nx):
                     mid = grid.midpoint(i, j)
-                    assert point_in_region_crossing(region, mid) == \
-                        point_in_region_winding(region, mid)
+                    winding = point_in_region_winding(region, mid)
+                    assert point_in_region_crossing(region, mid) == winding
+                    assert grid.inside[j][i] == winding
 
     def test_boundary_point_raises(self):
         region = unit_square()
