@@ -10,9 +10,10 @@ reproducible.  A miss is only a miss: the search is depth-bounded and
 guillotine-only, so NotFound (None) never proves impossibility; the decision
 procedure is the authority on that.
 
-Internally ratios are keyed as integer triples (A, B, D) meaning
-(A + B*sqrt(P))/D for a square-free-ish integer radicand P, which keeps the
-hot loop on plain integer gcd arithmetic.  The reachable sets are closed
+The search runs on the bare canonical keys (A, B, D) that ``Quad`` stores
+(see ``exactfield``), through the same key functions, so the hot loop is
+plain integer gcd arithmetic with no object per candidate; results are
+wrapped back into ``Quad`` without conversion.  The reachable sets are closed
 under inversion (both composition rules commute with it), so only one
 representative per {x, 1/x} class is stored; the mirror tree (joins swapped,
 leaf orientations flipped) realizes the inverse ratio.
@@ -21,11 +22,9 @@ leaf orientations flipped) realizes the inverse ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 from typing import Union
 
-from .exactfield import FieldParam, Quad
+from .exactfield import Key, Quad, int_sign, key_add, key_inv
 from .geometry import Dissection, Point, Rect, rect_ratio
 
 __all__ = [
@@ -87,65 +86,9 @@ def leaf_count(tree: CompositionTree) -> int:
     return leaf_count(tree.bottom) + leaf_count(tree.top)
 
 
-# -- integer kernel ---------------------------------------------------------
-
-_Key = tuple[int, int, int]
-
-
-def _radicand(field: FieldParam) -> tuple[int, int]:
-    # sqrt(pn/pd) = sqrt(pn*pd)/pd, so P = pn*pd is an integer radicand.
-    pn, pd = field.p.numerator, field.p.denominator
-    return pn * pd, pd
-
-
-def _norm_key(a: int, b: int, d: int) -> _Key:
-    if d < 0:
-        a, b, d = -a, -b, -d
-    g = gcd(gcd(abs(a), abs(b)), d)
-    if g > 1:
-        a, b, d = a // g, b // g, d // g
-    return (a, b, d)
-
-
-def _to_key(x: Quad, pd: int) -> _Key:
-    a = x.a
-    bp = x.b / pd
-    d = lcm(a.denominator, bp.denominator)
-    return _norm_key(
-        a.numerator * (d // a.denominator), bp.numerator * (d // bp.denominator), d
-    )
-
-
-def _from_key(key: _Key, pd: int, field: FieldParam) -> Quad:
+def _kge1(key: Key, P: int) -> bool:
     a, b, d = key
-    return Quad(Fraction(a, d), Fraction(b * pd, d), field)
-
-
-def _kadd(k1: _Key, k2: _Key) -> _Key:
-    a1, b1, d1 = k1
-    a2, b2, d2 = k2
-    return _norm_key(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
-
-
-def _kinv(key: _Key, P: int) -> _Key:
-    a, b, d = key
-    return _norm_key(d * a, -d * b, a * a - P * b * b)
-
-
-def _int_pair_sign(c: int, d: int, P: int) -> int:
-    """Sign of c + d*sqrt(P) for integers c, d and non-square P > 0."""
-    if d == 0:
-        return (c > 0) - (c < 0)
-    if c == 0:
-        return 1 if d > 0 else -1
-    if (c > 0) == (d > 0):
-        return 1 if c > 0 else -1
-    return (1 if c > 0 else -1) if c * c > P * d * d else (1 if d > 0 else -1)
-
-
-def _kge1(key: _Key, P: int) -> bool:
-    a, b, d = key
-    return _int_pair_sign(a - d, b, P) >= 0
+    return int_sign(a - d, b, P) >= 0
 
 
 _LEAF = "leaf"
@@ -153,29 +96,29 @@ _JOIN = "join"
 
 
 def _expand(
-    field: FieldParam, r: Quad, max_leaves: int, target: Quad | None
-) -> tuple[dict, list[list[_Key]], tuple[_Key, bool] | None]:
+    r: Quad, max_leaves: int, target: Quad | None
+) -> tuple[dict, list[list[Key]], tuple[Key, bool] | None]:
     """Level-by-level reachable-ratio construction with first-found trees."""
-    P, pd = _radicand(field)
-    rkey = _to_key(r, pd)
+    P = r.field.radicand
+    rkey = r.key
     r_ge1 = _kge1(rkey, P)
-    rep = rkey if r_ge1 else _kinv(rkey, P)
-    nodes: dict[_Key, tuple] = {rep: (_LEAF, not r_ge1)}
-    inv_of: dict[_Key, _Key] = {rep: _kinv(rep, P)}
-    levels: list[list[_Key]] = [[], [rep]]
+    rep = rkey if r_ge1 else key_inv(rkey, P)
+    nodes: dict[Key, tuple] = {rep: (_LEAF, not r_ge1)}
+    inv_of: dict[Key, Key] = {rep: key_inv(rep, P)}
+    levels: list[list[Key]] = [[], [rep]]
 
-    target_entry: tuple[_Key, bool] | None = None
+    target_entry: tuple[Key, bool] | None = None
     if target is not None:
-        tkey = _to_key(target, pd)
+        tkey = target.key
         if _kge1(tkey, P):
             target_entry = (tkey, False)
         else:
-            target_entry = (_kinv(tkey, P), True)
+            target_entry = (key_inv(tkey, P), True)
         if target_entry[0] in nodes:
             return nodes, levels, target_entry
 
     for n in range(2, max_leaves + 1):
-        new: list[_Key] = []
+        new: list[Key] = []
         for i in range(1, n // 2 + 1):
             j = n - i
             li, lj = levels[i], levels[j]
@@ -194,15 +137,15 @@ def _expand(
                     (xinv, ykey, True, False),
                     (xinv, yinv, True, True),
                 ):
-                    s = _kadd(ux, uy)
+                    s = key_add(ux, uy)
                     if _kge1(s, P):
                         ck, outer_inv = s, False
                     else:
-                        ck, outer_inv = _kinv(s, P), True
+                        ck, outer_inv = key_inv(s, P), True
                     if ck in nodes:
                         continue
                     nodes[ck] = (_JOIN, xkey, fx, ykey, fy, outer_inv)
-                    inv_of[ck] = _kinv(ck, P)
+                    inv_of[ck] = key_inv(ck, P)
                     new.append(ck)
         levels.append(new)
         if target_entry is not None and target_entry[0] in nodes:
@@ -210,7 +153,7 @@ def _expand(
     return nodes, levels, target_entry
 
 
-def _build_tree(nodes: dict, key: _Key, inv: bool) -> CompositionTree:
+def _build_tree(nodes: dict, key: Key, inv: bool) -> CompositionTree:
     node = nodes[key]
     if node[0] == _LEAF:
         return Leaf(rotated=node[1] ^ inv)
@@ -240,7 +183,7 @@ def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTr
     explores guillotine cuts.
     """
     _check_search_inputs(y, r, max_leaves)
-    nodes, _levels, target_entry = _expand(y.field, r, max_leaves, y)
+    nodes, _levels, target_entry = _expand(r, max_leaves, y)
     if target_entry is None:
         raise ArithmeticError("level search returned no entry for the target ratio")
     tkey, tinv = target_entry
@@ -264,14 +207,8 @@ def reachable_ratios(r: Quad, max_leaves: int) -> dict[Quad, int]:
         raise ValueError("max_leaves must be at least 1")
     if r.sign() <= 0:
         raise ValueError("tile ratio must be positive")
-    field = r.field
-    _P, pd = _radicand(field)
-    nodes, levels, _ = _expand(field, r, max_leaves, None)
-    out: dict[Quad, int] = {}
-    for n, keys in enumerate(levels):
-        for k in keys:
-            out[_from_key(k, pd, field)] = n
-    return out
+    _nodes, levels, _ = _expand(r, max_leaves, None)
+    return {Quad(k, r.field): n for n, keys in enumerate(levels) for k in keys}
 
 
 def realize_tree(tree: CompositionTree, target: Rect, tile_ratio: Quad) -> Dissection:

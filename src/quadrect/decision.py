@@ -29,7 +29,7 @@ from .geometry import (
     tiles_equal,
     verify_tiling,
 )
-from .invariants import SeparationCertificate, separation_certificate
+from .invariants import SeparationCertificate, in_membership_set, separation_certificate
 
 __all__ = [
     "NotInField",
@@ -100,15 +100,11 @@ def decide_rect_ratio(y: Quad | NotInField, r: Quad) -> Verdict:
         raise ValueError("ratio and target must share one field parameter")
     if y.sign() <= 0:
         raise ValueError("rectangle ratio must be positive")
-    a, b = r.a, r.b
+    member = in_membership_set(y, r)
     e, f = y.a, y.b
-    if conj_sign > 0:
-        member = e > 0 and abs(f) * a <= abs(b) * e
-    else:
-        member = f > 0 and abs(e) * b <= abs(a) * f
     certificate = None
-    if not member and b != 0:
-        certificate = separation_certificate(a, b, e, f, r.field.p)
+    if not member and not r.is_rational():
+        certificate = separation_certificate(r.a, r.b, e, f, r.field.p)
     return Verdict(member, case_tag, (e, f), certificate)
 
 

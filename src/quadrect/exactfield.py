@@ -2,33 +2,38 @@
 
 Every decision this package makes reduces to the sign of a field element,
 so nothing here ever touches floating point.  Rationals are
-``fractions.Fraction``; an element a + b*sqrt(p) is stored as its pair of
-rational coordinates together with the field parameter p.  Signs come from
-integer comparisons only (a**2 against p*b**2), which is exact because p is
-required not to be the square of a rational.
+``fractions.Fraction``.  For p = pn/pd, sqrt(p) = sqrt(P)/pd with the integer
+radicand P = pn*pd, so an element a + b*sqrt(p) is stored as its canonical
+integer key (A, B, D), meaning (A + B*sqrt(P))/D with D > 0 and
+gcd(A, B, D) = 1 (the standard integral form of quadratic-field elements;
+Cohen, GTM 138, section 4.2).  Canonical keys make equality and hashing
+structural, and every operation is integer arithmetic plus one gcd.  Signs
+come from integer comparisons only (A**2 against P*B**2), which is exact
+because p is required not to be the square of a rational.
+
+The key functions (``key_norm``, ``key_add``, ``key_mul``, ``key_inv``,
+``int_sign``) are the whole kernel: ``Quad`` wraps them, and the witness
+search runs its hot loop on bare keys with them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt
+from math import gcd, isqrt
 
 __all__ = [
-    "Rat",
     "FieldParam",
     "Quad",
-    "quad_sign",
-    "quad_conj",
     "parse_rat",
     "format_rat",
     "parse_quad",
     "format_quad",
 ]
 
-Rat = Fraction
+Key = tuple[int, int, int]
 
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 _QUAD_RE = re.compile(
@@ -37,15 +42,21 @@ _QUAD_RE = re.compile(
 )
 
 
-def parse_rat(text: str) -> Fraction:
-    """Parse ``int`` or ``int/int`` (denominator unsigned and nonzero)."""
+def _rat_parts(text: object) -> tuple[int, int]:
+    if not isinstance(text, str):
+        raise ValueError(f"rational literal must be a string, got {text!r}")
     m = _RAT_RE.match(text.strip())
     if m is None:
         raise ValueError(f"malformed rational literal: {text!r}")
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise ValueError(f"zero denominator in rational literal: {text!r}")
-    return Fraction(int(m.group(1)), den)
+    return int(m.group(1)), den
+
+
+def parse_rat(text: str) -> Fraction:
+    """Parse ``int`` or ``int/int`` (denominator unsigned and nonzero)."""
+    return Fraction(*_rat_parts(text))
 
 
 def format_rat(q: Fraction) -> str:
@@ -58,23 +69,72 @@ def _is_perfect_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def _fraction_sign(q: Fraction) -> int:
-    if q > 0:
-        return 1
-    if q < 0:
-        return -1
-    return 0
+# -- integer kernel ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def key_norm(a: int, b: int, d: int) -> Key:
+    """Canonical key of (a + b*sqrt(P))/d for d != 0."""
+    if d < 0:
+        a, b, d = -a, -b, -d
+    g = gcd(a, b, d)
+    if g > 1:
+        a, b, d = a // g, b // g, d // g
+    return (a, b, d)
+
+
+def key_add(k1: Key, k2: Key) -> Key:
+    a1, b1, d1 = k1
+    a2, b2, d2 = k2
+    return key_norm(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+
+
+def key_mul(k1: Key, k2: Key, P: int) -> Key:
+    a1, b1, d1 = k1
+    a2, b2, d2 = k2
+    return key_norm(a1 * a2 + P * b1 * b2, a1 * b2 + a2 * b1, d1 * d2)
+
+
+def key_inv(key: Key, P: int) -> Key:
+    """Key of the inverse of a nonzero element."""
+    a, b, d = key
+    return key_norm(d * a, -d * b, a * a - P * b * b)
+
+
+def int_sign(c: int, d: int, P: int) -> int:
+    """Exact sign of c + d*sqrt(P) for integers c, d and non-square P > 0.
+
+    When c and d disagree in sign the comparison reduces to c**2 versus
+    P*d**2; equality there would force sqrt(P) rational, which the field
+    parameter rules out.
+    """
+    if d == 0:
+        return (c > 0) - (c < 0)
+    if c == 0 or (c > 0) == (d > 0):
+        return 1 if d > 0 else -1
+    lhs = c * c
+    rhs = P * d * d
+    if lhs == rhs:
+        raise ArithmeticError("field parameter admits a rational square root")
+    return (1 if c > 0 else -1) if lhs > rhs else (1 if d > 0 else -1)
+
+
+def _pair_key(an: int, ad: int, bn: int, bd: int, pd: int) -> Key:
+    # a = an/ad and b*sqrt(p) = (bn/(bd*pd))*sqrt(P), over one denominator.
+    return key_norm(an * bd * pd, bn * ad, ad * bd * pd)
+
+
+@dataclasses.dataclass(frozen=True)
 class FieldParam:
     """The radicand p of Q[sqrt(p)]: a positive rational that is not a square.
 
     Squareness is decided exactly: a canonical fraction is a rational square
-    iff its numerator and denominator are both perfect squares.
+    iff its numerator and denominator are both perfect squares.  ``radicand``
+    (P = pn*pd) and ``pd`` are derived from p for the integer kernel.
     """
 
     p: Fraction
+    radicand: int = dataclasses.field(init=False, repr=False, compare=False)
+    pd: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = self.p if isinstance(self.p, Fraction) else Fraction(self.p)
@@ -83,9 +143,13 @@ class FieldParam:
             raise ValueError(f"field parameter must be positive, got {p}")
         if _is_perfect_square(p.numerator) and _is_perfect_square(p.denominator):
             raise ValueError(f"field parameter {p} is the square of a rational")
+        object.__setattr__(self, "radicand", p.numerator * p.denominator)
+        object.__setattr__(self, "pd", p.denominator)
 
     def quad(self, a: int | str | Fraction, b: int | str | Fraction = 0) -> Quad:
-        return Quad(Fraction(a), Fraction(b), self)
+        a, b = Fraction(a), Fraction(b)
+        key = _pair_key(a.numerator, a.denominator, b.numerator, b.denominator, self.pd)
+        return Quad(key, self)
 
     @property
     def zero(self) -> Quad:
@@ -103,148 +167,144 @@ class FieldParam:
         return f"Q[sqrt({format_rat(self.p)})]"
 
 
-@total_ordering
-@dataclass(frozen=True, eq=False)
-class Quad:
-    """The field element a + b*sqrt(p), stored exactly.
+def _check_same_field(x: Quad, y: Quad) -> None:
+    if x.field is not y.field and x.field != y.field:
+        raise ValueError(f"field parameter mismatch: {x.field} vs {y.field}")
 
-    Values are immutable and hashable (canonical Fraction storage makes
-    equality structural), so they are safe dict keys and safe to share
-    between threads.  Binary operations require identical field parameters;
-    plain ``int``/``Fraction`` operands are promoted into the field.
+
+@total_ordering
+class Quad:
+    """The field element a + b*sqrt(p), stored as its canonical key.
+
+    Values are hashable and must be treated as immutable, so they are safe
+    dict keys and safe to share between threads.  Binary operations require
+    equal field parameters; plain ``int``/``Fraction`` operands are promoted
+    into the field.  Build values with ``FieldParam.quad`` or
+    ``parse_quad``; the constructor takes an already canonical key.
     """
 
-    a: Fraction
-    b: Fraction
-    field: FieldParam
+    __slots__ = ("key", "field")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, Fraction):
-            object.__setattr__(self, "a", Fraction(self.a))
-        if not isinstance(self.b, Fraction):
-            object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, key: Key, field: FieldParam) -> None:
+        self.key = key
+        self.field = field
+
+    @property
+    def a(self) -> Fraction:
+        A, _, D = self.key
+        return Fraction(A, D)
+
+    @property
+    def b(self) -> Fraction:
+        _, B, D = self.key
+        return Fraction(B * self.field.pd, D)
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self.key[0] and not self.key[1]
 
     def is_rational(self) -> bool:
-        return not self.b
+        return not self.key[1]
 
     def conj(self) -> Quad:
         """The image a - b*sqrt(p) under the nontrivial field automorphism."""
-        return Quad(self.a, -self.b, self.field)
+        A, B, D = self.key
+        return Quad((A, -B, D), self.field)
 
     def norm(self) -> Fraction:
         """x * conj(x) collapsed to its rational value a**2 - p*b**2."""
-        return self.a * self.a - self.field.p * self.b * self.b
+        A, B, D = self.key
+        return Fraction(A * A - self.field.radicand * B * B, D * D)
 
     def sign(self) -> int:
-        """Exact sign of the real number a + b*sqrt(p).
-
-        When a and b disagree in sign the comparison reduces to a**2 versus
-        p*b**2; equality there would force sqrt(p) rational, which the field
-        parameter rules out.
-        """
-        sa = _fraction_sign(self.a)
-        sb = _fraction_sign(self.b)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        lhs = self.a * self.a
-        rhs = self.field.p * self.b * self.b
-        if lhs == rhs:
-            raise ArithmeticError("field parameter admits a rational square root")
-        return sa if lhs > rhs else sb
+        """Exact sign of the real number a + b*sqrt(p)."""
+        return int_sign(self.key[0], self.key[1], self.field.radicand)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other: object) -> Quad | None:
+    def _key_of(self, other: object) -> Key | None:
         if isinstance(other, Quad):
-            if other.field != self.field:
-                raise ValueError(
-                    f"field parameter mismatch: {self.field} vs {other.field}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Quad(Fraction(other), Fraction(0), self.field)
+            _check_same_field(self, other)
+            return other.key
+        if isinstance(other, int):
+            return (other, 0, 1)
+        if isinstance(other, Fraction):
+            return (other.numerator, 0, other.denominator)
         return None
 
     def __add__(self, other: Quad | int | Fraction) -> Quad:
-        o = self._coerce(other)
-        if o is None:
+        k = self._key_of(other)
+        if k is None:
             return NotImplemented
-        return Quad(self.a + o.a, self.b + o.b, self.field)
+        return Quad(key_add(self.key, k), self.field)
 
     __radd__ = __add__
 
     def __sub__(self, other: Quad | int | Fraction) -> Quad:
-        o = self._coerce(other)
-        if o is None:
+        k = self._key_of(other)
+        if k is None:
             return NotImplemented
-        return Quad(self.a - o.a, self.b - o.b, self.field)
+        return Quad(key_add(self.key, (-k[0], -k[1], k[2])), self.field)
 
     def __rsub__(self, other: Quad | int | Fraction) -> Quad:
-        o = self._coerce(other)
-        if o is None:
+        k = self._key_of(other)
+        if k is None:
             return NotImplemented
-        return o - self
+        A, B, D = self.key
+        return Quad(key_add(k, (-A, -B, D)), self.field)
 
     def __neg__(self) -> Quad:
-        return Quad(-self.a, -self.b, self.field)
+        A, B, D = self.key
+        return Quad((-A, -B, D), self.field)
 
     def __mul__(self, other: Quad | int | Fraction) -> Quad:
-        o = self._coerce(other)
-        if o is None:
+        k = self._key_of(other)
+        if k is None:
             return NotImplemented
-        p = self.field.p
-        return Quad(
-            self.a * o.a + p * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            self.field,
-        )
+        return Quad(key_mul(self.key, k, self.field.radicand), self.field)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Quad | int | Fraction) -> Quad:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
+    def _div(self, num: Key, den: Key) -> Quad:
+        if not den[0] and not den[1]:
             raise ZeroDivisionError("division by zero field element")
-        n = o.norm()
-        return self * Quad(o.a / n, -o.b / n, self.field)
+        P = self.field.radicand
+        return Quad(key_mul(num, key_inv(den, P), P), self.field)
+
+    def __truediv__(self, other: Quad | int | Fraction) -> Quad:
+        k = self._key_of(other)
+        if k is None:
+            return NotImplemented
+        return self._div(self.key, k)
 
     def __rtruediv__(self, other: Quad | int | Fraction) -> Quad:
-        o = self._coerce(other)
-        if o is None:
+        k = self._key_of(other)
+        if k is None:
             return NotImplemented
-        return o / self
+        return self._div(k, self.key)
 
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Quad):
             return NotImplemented
-        return self.field == other.field and self.a == other.a and self.b == other.b
+        return self.key == other.key and (
+            self.field is other.field or self.field == other.field
+        )
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.field))
+        return hash(self.key)
 
     def __lt__(self, other: Quad) -> bool:
         # Comparisons stay Quad-to-Quad (use field.quad(..) to lift numbers);
         # mixing bare numbers into == and < would break hash consistency.
         if not isinstance(other, Quad):
             return NotImplemented
-        if other.field != self.field:
-            raise ValueError(
-                f"field parameter mismatch: {self.field} vs {other.field}"
-            )
-        return (self - other).sign() < 0
+        _check_same_field(self, other)
+        a1, b1, d1 = self.key
+        a2, b2, d2 = other.key
+        return int_sign(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, self.field.radicand) < 0
 
     def __str__(self) -> str:
         return format_quad(self)
@@ -253,31 +313,22 @@ class Quad:
         return f"Quad({format_quad(self)!r}, p={format_rat(self.field.p)})"
 
 
-def quad_sign(x: Quad) -> int:
-    return x.sign()
-
-
-def quad_conj(x: Quad) -> Quad:
-    return x.conj()
-
-
 def parse_quad(text: str, field: FieldParam) -> Quad:
     """Parse ``<rat>`` or ``<rat> (+|-) <rat>*sqrt`` into the given field."""
-    m = _QUAD_RE.match(text)
+    m = _QUAD_RE.match(text) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"malformed field-element literal: {text!r}")
-    a = parse_rat(m.group(1))
-    if m.group(2) is None:
-        return Quad(a, Fraction(0), field)
-    b = parse_rat(m.group(3))
+    an, ad = _rat_parts(m.group(1))
+    bn, bd = (0, 1) if m.group(2) is None else _rat_parts(m.group(3))
     if m.group(2) == "-":
-        b = -b
-    return Quad(a, b, field)
+        bn = -bn
+    return Quad(_pair_key(an, ad, bn, bd, field.pd), field)
 
 
 def format_quad(x: Quad) -> str:
     """Canonical literal; ``parse_quad(format_quad(x)) == x`` always."""
-    if not x.b:
+    if x.is_rational():
         return format_rat(x.a)
-    op = "+" if x.b > 0 else "-"
-    return f"{format_rat(x.a)} {op} {format_rat(abs(x.b))}*sqrt"
+    b = x.b
+    op = "+" if b > 0 else "-"
+    return f"{format_rat(x.a)} {op} {format_rat(abs(b))}*sqrt"

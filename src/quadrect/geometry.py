@@ -39,9 +39,6 @@ __all__ = [
     "point_in_region_winding",
     "square_with_hole_polygon",
     "pinwheel_dissection",
-    "translate_polygon",
-    "translate_rect",
-    "translate_dissection",
 ]
 
 _HALF = Fraction(1, 2)
@@ -568,16 +565,3 @@ def pinwheel_dissection(u: Quad, v: Quad) -> Dissection:
     )
     return Dissection(region, tiles)
 
-
-def translate_polygon(region: Polygon, dx: Quad, dy: Quad) -> Polygon:
-    return region.translate(dx, dy)
-
-
-def translate_rect(rect: Rect, dx: Quad, dy: Quad) -> Rect:
-    return rect.translate(dx, dy)
-
-
-def translate_dissection(d: Dissection, dx: Quad, dy: Quad) -> Dissection:
-    return Dissection(
-        d.region.translate(dx, dy), tuple(t.translate(dx, dy) for t in d.tiles)
-    )

@@ -30,6 +30,7 @@ __all__ = [
     "z_area_additivity_check",
     "abc_area_rect",
     "abc_area_polygon",
+    "in_membership_set",
     "separating_abc_params",
     "separation_certificate",
 ]
@@ -198,6 +199,16 @@ class SeparationCertificate:
     sign: int
 
 
+def in_membership_set(y: Quad, r: Quad) -> bool:
+    """Whether a rectangle of positive ratio y = e + f*sqrt(p) can be cut
+    into rectangles similar to r = a + b*sqrt(p) > 0: the closed-form test
+    stated in the ``decision`` module docstring."""
+    a, b, e, f = r.a, r.b, y.a, y.b
+    if r.conj().sign() > 0:
+        return e > 0 and abs(f) * a <= abs(b) * e
+    return f > 0 and abs(e) * b <= abs(a) * f
+
+
 def _separation_inputs(
     a: Fraction, b: Fraction, e: Fraction, f: Fraction, p: Fraction
 ) -> tuple[Fraction, Fraction, Fraction, Fraction, FieldParam]:
@@ -211,11 +222,7 @@ def _separation_inputs(
         raise ValueError("target ratio a + b*sqrt(p) must be positive")
     if y.sign() <= 0:
         raise ValueError("tile ratio e + f*sqrt(p) must be positive")
-    if r.conj().sign() > 0:
-        member = e > 0 and abs(f) * a <= abs(b) * e
-    else:
-        member = f > 0 and abs(e) * b <= abs(a) * f
-    if member:
+    if in_membership_set(y, r):
         raise ValueError(
             "tile ratio passes the membership test; no separating parameters exist"
         )

@@ -1,7 +1,8 @@
 """JSON document format for instances and results.
 
 One field parameter per document: a top-level ``"p"``.  Scalars are either
-the object form ``{"a": "<rat>", "b": "<rat>"}`` or the string grammar
+the object form ``{"a": "<rat>", "b": "<rat>"}`` (exactly those two keys,
+rational strings only) or the string grammar
 ``<rat> [ (+|-) <rat>*sqrt ]``; output always uses the object form with
 canonical rational strings, so load(save(x)) == x.
 """
@@ -52,8 +53,8 @@ def quad_to_json(x: Quad) -> dict[str, str]:
 def quad_from_json(obj: Any, field: FieldParam) -> Quad:
     if isinstance(obj, str):
         return parse_quad(obj, field)
-    if isinstance(obj, dict):
-        return field.quad(parse_rat(obj.get("a", "0")), parse_rat(obj.get("b", "0")))
+    if isinstance(obj, dict) and obj.keys() == {"a", "b"}:
+        return field.quad(parse_rat(obj["a"]), parse_rat(obj["b"]))
     raise ValueError(f"cannot read field element from {obj!r}")
 
 

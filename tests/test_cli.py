@@ -70,6 +70,35 @@ class TestDecideCommands:
         assert run(["decide", "rect", "--y", "oops", "--r", "1", "--p", "2"]) == 2
         assert run(["decide", "rect", "--y", "1", "--r", "1", "--p", "4"]) == 2
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("p",), 2),
+            (("region", "loops", 0, 1, 0), {"a": 1}),
+            (("region", "loops", 0, 1, 0), {"a": 1, "b": 0}),
+            (("tiles", 0, "w"), {"a": "0", "c": "7"}),
+            (("tiles", 0, "x"), {"x": "3"}),
+            (("tiles", 0, "h"), {"a": "1", "b": "0", "c": "0"}),
+        ],
+        ids=["p_number", "a_number_only", "a_and_b_numbers", "key_c", "key_x", "extra_key"],
+    )
+    @pytest.mark.parametrize("command", [["verify"], ["decide", "polygon", "--r", "3"]])
+    def test_malformed_json_scalar_exit_two(self, capsys, tmp_path, where, value, command):
+        doc = instance_to_json(
+            dissection_to_instance(pinwheel_dissection(F2.quad(3), F2.quad(1)))
+        )
+        parent = doc
+        for step in where[:-1]:
+            parent = parent[step]
+        parent[where[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run([*command, "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_polygon_via_instance(self, capsys, pinwheel_file):
         code = run(["decide", "polygon", "--instance", str(pinwheel_file),
                     "--r", "1+1*sqrt"])

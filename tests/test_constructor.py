@@ -177,9 +177,10 @@ class TestSearchContract:
         with pytest.raises(ValueError):
             construct_dissection(F2.one, F2.quad(1, -1), 8)
 
-    def test_rational_field_param_kernel(self):
-        # Non-integer p exercises the radicand scaling in the integer kernel.
-        field = FieldParam(Fraction(5, 2))
+    @pytest.mark.parametrize("p", [Fraction(5, 2), Fraction(3, 4)], ids=["5_2", "3_4"])
+    def test_rational_field_param_kernel(self, p):
+        # Non-integer p exercises the scaling of b by p's denominator.
+        field = FieldParam(p)
         r = field.quad(1, 1)
         reach = reachable_ratios(r, 5)
         brute = brute_force_levels(r, 5)

@@ -23,7 +23,6 @@ from quadrect import (
     tiles_equal,
     verify_tiling,
 )
-from quadrect.geometry import translate_dissection
 from quadrect.samples import (
     l_shape,
     point_of,
@@ -196,8 +195,10 @@ class TestVerify:
         shuffled = list(base.tiles)
         rng.shuffle(shuffled)
         assert verify_tiling(Dissection(base.region, tuple(shuffled))).valid
-        moved = translate_dissection(
-            base, random_quad(rng, F2), random_quad(rng, F2)
+        dx, dy = random_quad(rng, F2), random_quad(rng, F2)
+        moved = Dissection(
+            base.region.translate(dx, dy),
+            tuple(t.translate(dx, dy) for t in base.tiles),
         )
         assert verify_tiling(moved).valid
 
