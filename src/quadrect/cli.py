@@ -231,7 +231,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (InvalidDissectionError, UnequalTilesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,11 +23,10 @@ from fractions import Fraction
 from .exactfield import Quad
 from .geometry import (
     Dissection,
-    InvalidDissectionError,
     Polygon,
     pinwheel_dissection,
+    require_valid_tiling,
     tiles_equal,
-    verify_tiling,
 )
 from .invariants import SeparationCertificate, in_membership_set, separation_certificate
 
@@ -116,14 +115,7 @@ def decide_polygon(region: Polygon, dissection: Dissection, r: Quad) -> Verdict:
     dissection are outside this procedure's reach, so an invalid or unequal
     dissection raises instead of guessing.
     """
-    if dissection.region != region:
-        raise InvalidDissectionError("dissection is not over the given polygon")
-    report = verify_tiling(dissection)
-    if not report.valid:
-        first = report.issues[0]
-        raise InvalidDissectionError(
-            f"dissection failed verification ({first.kind} at cell ({first.i}, {first.j}))"
-        )
+    require_valid_tiling(region, dissection)
     dims = tiles_equal(dissection)
     if dims is None:
         raise UnequalTilesError("dissection tiles are not all congruent")
@@ -144,13 +136,6 @@ def decide_square_with_hole(u: Quad, v: Quad, r: Quad) -> SquareWithHoleDecision
     The region always splits into 4 equal (u+v)/2 x (u-v)/2 rectangles (the
     returned pinwheel), so the question reduces to the ratio (u+v)/(u-v).
     """
-    if v.field != u.field:
-        raise ValueError("u and v must share one field parameter")
-    if v.sign() <= 0 or (u - v).sign() <= 0:
-        raise ValueError("need u > v > 0")
+    pinwheel = pinwheel_dissection(u, v)
     t = (u + v) / (u - v)
-    return SquareWithHoleDecision(
-        verdict=decide_rect_ratio(t, r),
-        ratio=t,
-        pinwheel=pinwheel_dissection(u, v),
-    )
+    return SquareWithHoleDecision(decide_rect_ratio(t, r), t, pinwheel)

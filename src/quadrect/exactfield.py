@@ -30,6 +30,7 @@ __all__ = [
     "parse_rat",
     "format_rat",
     "parse_quad",
+    "quad_from_rats",
     "format_quad",
 ]
 
@@ -318,10 +319,14 @@ def parse_quad(text: str, field: FieldParam) -> Quad:
     m = _QUAD_RE.match(text) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"malformed field-element literal: {text!r}")
-    an, ad = _rat_parts(m.group(1))
-    bn, bd = (0, 1) if m.group(2) is None else _rat_parts(m.group(3))
-    if m.group(2) == "-":
-        bn = -bn
+    x = quad_from_rats(m.group(1), m.group(3) or "0", field)
+    return x.conj() if m.group(2) == "-" else x
+
+
+def quad_from_rats(a: str, b: str, field: FieldParam) -> Quad:
+    """The element a + b*sqrt(p) from two rational literals."""
+    an, ad = _rat_parts(a)
+    bn, bd = _rat_parts(b)
     return Quad(_pair_key(an, ad, bn, bd, field.pd), field)
 
 

@@ -1,13 +1,14 @@
 """Rectilinear polygons, rectangles and dissections over Q[sqrt(p)] coordinates.
 
-All verification runs on the induced coordinate grid: collect every distinct
-x and y coordinate appearing in the region and the tiles, and the resulting
-cells are the atoms of the check.  Exact arithmetic is needed only to sort
-and index those coordinates; after that one row sweep over grid indices
-decides which cells lie inside the region, and a 2-D difference array counts
-how many tiles cover each cell, both in integer operations.  Every failure
-still names a witness cell whose midpoint stays inside the field, so any
-independent tool can re-check it with an exact point-in-region test.
+A ``Polygon`` sorts its distinct x and y once and keeps each vertex as a
+grid node (i, j), so its contact and hole checks run on integers only.
+Verification merges the tile coordinates into that grid; one row sweep over
+grid indices decides which cells lie inside the region, and a 2-D difference
+array counts how many tiles cover each cell.  Exact arithmetic is needed only
+to sort and index coordinates and for areas.  Every failure names a witness
+cell whose midpoint stays inside the field, so any independent tool can
+re-check it with the exact point-in-region tests, which read the loops'
+points, not the grid.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .exactfield import FieldParam, Quad
 
@@ -33,6 +34,7 @@ __all__ = [
     "polygon_area",
     "build_cell_grid",
     "verify_tiling",
+    "require_valid_tiling",
     "tiles_equal",
     "rect_ratio",
     "point_in_region_crossing",
@@ -117,69 +119,50 @@ class Rect:
         return Rect(self.origin.translate(dx, dy), self.width, self.height)
 
 
-@dataclass(frozen=True)
-class _Edge:
-    vertical: bool
-    fixed: Quad        # x for vertical edges, y for horizontal ones
-    lo: Quad
-    hi: Quad
-    start: Point       # directed as the loop walks it
-    end: Point
+_T = TypeVar("_T")
+Node = tuple[int, int]
+
+
+def _cycle_pairs(loop: Sequence[_T]) -> Iterator[tuple[_T, _T]]:
+    """Each edge of a vertex cycle as (start, end)."""
+    return zip(loop, (*loop[1:], loop[0]))
 
 
 def _loop_area2(loop: Sequence[Point]) -> Quad:
     """Twice the signed shoelace area of one vertex cycle."""
     total = loop[0].field.zero
-    n = len(loop)
-    for i in range(n):
-        p, q = loop[i], loop[(i + 1) % n]
+    for p, q in _cycle_pairs(loop):
         total = total + (p.x * q.y - q.x * p.y)
     return total
 
 
-def _loop_edges(loop: Sequence[Point]) -> tuple[_Edge, ...]:
-    edges = []
-    n = len(loop)
-    for i in range(n):
-        p, q = loop[i], loop[(i + 1) % n]
-        if p.x == q.x:
-            lo, hi = (p.y, q.y) if p.y < q.y else (q.y, p.y)
-            edges.append(_Edge(True, p.x, lo, hi, p, q))
-        else:
-            lo, hi = (p.x, q.x) if p.x < q.x else (q.x, p.x)
-            edges.append(_Edge(False, p.y, lo, hi, p, q))
-    return tuple(edges)
+def _vertical_spans(loop: Sequence[Node]) -> Iterator[tuple[int, int, int]]:
+    """``(column, lo, hi)`` of each vertical edge of an index loop."""
+    for (i, j), (k, l) in _cycle_pairs(loop):
+        if i == k:
+            yield (i, j, l) if j < l else (i, l, j)
 
 
-def _edges_touch(e1: _Edge, e2: _Edge) -> bool:
-    """Closed-segment intersection test for axis-parallel edges."""
-    if e1.vertical == e2.vertical:
-        if e1.fixed != e2.fixed:
-            return False
-        return not (e1.hi < e2.lo or e2.hi < e1.lo)
-    h, v = (e2, e1) if e1.vertical else (e1, e2)
-    return h.lo <= v.fixed <= h.hi and v.lo <= h.fixed <= v.hi
+def _inside_loop(node: Node, loop: Sequence[Node]) -> bool:
+    """Crossing parity of the +x ray from a node not on the loop.  The
+    half-open row range counts a crossing through a shared vertex once."""
+    i, j = node
+    return sum(k > i and lo <= j < hi for k, lo, hi in _vertical_spans(loop)) % 2 == 1
 
 
-_IN, _OUT, _ON = 1, 0, -1
-
-
-def _locate_in_loop(pt: Point, edges: Sequence[_Edge]) -> int:
-    """Crossing-number location of a point relative to one closed loop."""
-    for e in edges:
-        if e.vertical:
-            if pt.x == e.fixed and e.lo <= pt.y <= e.hi:
-                return _ON
-        else:
-            if pt.y == e.fixed and e.lo <= pt.x <= e.hi:
-                return _ON
-    crossings = 0
-    for e in edges:
-        # Horizontal ray towards +x; the half-open rule at the top endpoint
-        # keeps crossings through shared vertices counted exactly once.
-        if e.vertical and e.lo <= pt.y < e.hi and e.fixed > pt.x:
-            crossings ^= 1
-    return _IN if crossings else _OUT
+def _boundary_nodes(loop: Sequence[Node], height: int) -> set[int]:
+    """Every grid node on a loop's boundary, numbered ``i*height + j``: each
+    edge walked from its start vertex up to, but not including, its end.
+    Non-adjacent edges touch iff some node is reached twice."""
+    nodes: list[int] = []
+    for (i, j), (k, l) in _cycle_pairs(loop):
+        a, b = i * height + j, k * height + l
+        step = 1 if i == k else height
+        nodes.extend(range(a, b, step if b > a else -step))
+    found = set(nodes)
+    if len(found) != len(nodes):
+        raise ValueError("loop is self-intersecting")
+    return found
 
 
 @dataclass(frozen=True)
@@ -199,15 +182,13 @@ class Polygon:
         object.__setattr__(self, "loops", loops)
         if not loops:
             raise ValueError("polygon needs at least one loop")
-        field = loops[0][0].field
-        edges_per_loop = []
+        field = loops[0][0].field if loops[0] else None
         areas2 = []
         for loop in loops:
             if len(loop) < 4:
                 raise ValueError("degenerate loop (fewer than 4 vertices)")
             horiz = []
-            for i in range(len(loop)):
-                p, q = loop[i], loop[(i + 1) % len(loop)]
+            for p, q in _cycle_pairs(loop):
                 if p.field != field or q.field != field:
                     raise ValueError("polygon coordinates must share one field parameter")
                 dx_zero = (q.x - p.x).is_zero()
@@ -215,10 +196,8 @@ class Polygon:
                 if dx_zero == dy_zero:
                     raise ValueError("edges must be axis-parallel and of nonzero length")
                 horiz.append(dy_zero)
-            for i in range(len(horiz)):
-                if horiz[i] == horiz[(i + 1) % len(horiz)]:
-                    raise ValueError("consecutive edges must alternate direction")
-            edges_per_loop.append(_loop_edges(loop))
+            if any(h == g for h, g in _cycle_pairs(horiz)):
+                raise ValueError("consecutive edges must alternate direction")
             areas2.append(_loop_area2(loop))
 
         signs = [a.sign() for a in areas2]
@@ -228,36 +207,36 @@ class Polygon:
             raise ValueError("degenerate loop with zero area")
         outer = signs.index(1)
 
-        # Loops must be pairwise disjoint, and within a loop only adjacent
-        # edges may touch (at their shared vertex).
-        for li, edges in enumerate(edges_per_loop):
-            n = len(edges)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if j == i + 1 or (i == 0 and j == n - 1):
-                        continue
-                    if _edges_touch(edges[i], edges[j]):
-                        raise ValueError("loop is self-intersecting")
-        for li in range(len(loops)):
-            for lj in range(li + 1, len(loops)):
-                for e1 in edges_per_loop[li]:
-                    for e2 in edges_per_loop[lj]:
-                        if _edges_touch(e1, e2):
-                            raise ValueError("loops must be pairwise disjoint")
-        for li, loop in enumerate(loops):
+        # From here on every vertex is a node (i, j) of the coordinate grid.
+        xs = tuple(sorted({p.x for loop in loops for p in loop}))
+        ys = tuple(sorted({p.y for loop in loops for p in loop}))
+        xi = {x: i for i, x in enumerate(xs)}
+        yi = {y: j for j, y in enumerate(ys)}
+        index_loops = tuple(tuple((xi[p.x], yi[p.y]) for p in loop) for loop in loops)
+
+        # Two axis-parallel closed edges between grid nodes touch iff they
+        # share a grid node, so no boundary node may repeat, within a loop
+        # or across loops.
+        node_sets = [_boundary_nodes(loop, len(ys)) for loop in index_loops]
+        seen: set[int] = set()
+        for nodes in node_sets:
+            if not seen.isdisjoint(nodes):
+                raise ValueError("loops must be pairwise disjoint")
+            seen |= nodes
+        for li, loop in enumerate(index_loops):
             if li == outer:
                 continue
-            if _locate_in_loop(loop[0], edges_per_loop[outer]) != _IN:
+            if not _inside_loop(loop[0], index_loops[outer]):
                 raise ValueError("holes must lie strictly inside the outer loop")
-            for lj in range(len(loops)):
-                if lj in (li, outer):
-                    continue
-                if _locate_in_loop(loop[0], edges_per_loop[lj]) == _IN:
+            for lj, other in enumerate(index_loops):
+                if lj not in (li, outer) and _inside_loop(loop[0], other):
                     raise ValueError("holes must not be nested")
 
-        object.__setattr__(self, "_edges", tuple(edges_per_loop))
         object.__setattr__(self, "_areas2", tuple(areas2))
         object.__setattr__(self, "_outer", outer)
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "_index_loops", index_loops)
 
     @property
     def field(self) -> FieldParam:
@@ -268,9 +247,8 @@ class Polygon:
         return self._outer  # type: ignore[attr-defined]
 
     def bounds(self) -> tuple[Quad, Quad, Quad, Quad]:
-        xs = [p.x for loop in self.loops for p in loop]
-        ys = [p.y for loop in self.loops for p in loop]
-        return min(xs), min(ys), max(xs), max(ys)
+        xs, ys = self._xs, self._ys  # type: ignore[attr-defined]
+        return xs[0], ys[0], xs[-1], ys[-1]
 
     def translate(self, dx: Quad, dy: Quad) -> Polygon:
         return Polygon(
@@ -298,6 +276,14 @@ def polygon_area(region: Polygon) -> Quad:
     return total * _HALF
 
 
+def _on_edge(pt: Point, p: Point, q: Point) -> bool:
+    """Whether pt lies on the closed axis-parallel segment pq."""
+    return (
+        min(p.x, q.x) <= pt.x <= max(p.x, q.x)
+        and min(p.y, q.y) <= pt.y <= max(p.y, q.y)
+    )
+
+
 def point_in_region_crossing(region: Polygon, pt: Point) -> bool:
     """Strict interior test by per-loop crossing parity.
 
@@ -305,13 +291,18 @@ def point_in_region_crossing(region: Polygon, pt: Point) -> bool:
     midpoints never hit that case because midpoints avoid all grid lines.
     """
     inside_outer = False
-    for li, edges in enumerate(region._edges):  # type: ignore[attr-defined]
-        loc = _locate_in_loop(pt, edges)
-        if loc == _ON:
+    for li, loop in enumerate(region.loops):
+        if any(_on_edge(pt, p, q) for p, q in _cycle_pairs(loop)):
             raise ValueError("point lies on the region boundary")
+        crossings = 0
+        for p, q in _cycle_pairs(loop):
+            # Horizontal ray towards +x; the half-open rule at the top
+            # endpoint counts crossings through shared vertices once.
+            if p.x == q.x and p.x > pt.x and min(p.y, q.y) <= pt.y < max(p.y, q.y):
+                crossings ^= 1
         if li == region.outer_index:
-            inside_outer = loc == _IN
-        elif loc == _IN:
+            inside_outer = crossings == 1
+        elif crossings:
             return False
     return inside_outer
 
@@ -325,20 +316,16 @@ def point_in_region_winding(region: Polygon, pt: Point) -> bool:
     total is nonzero.
     """
     wn = 0
-    for edges in region._edges:  # type: ignore[attr-defined]
-        for e in edges:
-            if not e.vertical:
-                if pt.y == e.fixed and e.lo <= pt.x <= e.hi:
-                    raise ValueError("point lies on the region boundary")
-                continue
-            if pt.x == e.fixed and e.lo <= pt.y <= e.hi:
+    for loop in region.loops:
+        for p, q in _cycle_pairs(loop):
+            if _on_edge(pt, p, q):
                 raise ValueError("point lies on the region boundary")
-            if e.start.y < e.end.y:
-                if e.start.y <= pt.y < e.end.y and e.fixed > pt.x:
-                    wn += 1
-            else:
-                if e.end.y <= pt.y < e.start.y and e.fixed > pt.x:
-                    wn -= 1
+            if p.x != q.x or pt.x >= p.x:
+                continue
+            if p.y <= pt.y < q.y:
+                wn += 1
+            elif q.y <= pt.y < p.y:
+                wn -= 1
     return wn != 0
 
 
@@ -374,13 +361,6 @@ class CellGrid:
         return Point(
             (self.xs[i] + self.xs[i + 1]) * _HALF,
             (self.ys[j] + self.ys[j + 1]) * _HALF,
-        )
-
-    def cell_rect(self, i: int, j: int) -> Rect:
-        return Rect(
-            Point(self.xs[i], self.ys[j]),
-            self.xs[i + 1] - self.xs[i],
-            self.ys[j + 1] - self.ys[j],
         )
 
     @cached_property
@@ -423,6 +403,17 @@ def _box_counts(
     return tuple(counts)
 
 
+def _merge_axis(
+    base: tuple[Quad, ...], extra: set[Quad]
+) -> tuple[tuple[Quad, ...], list[int]]:
+    """The sorted union of a sorted axis and extra coordinates, plus the new
+    index of each old one."""
+    extra = extra.difference(base)
+    merged = tuple(sorted((*base, *extra))) if extra else base
+    index = {x: i for i, x in enumerate(merged)}
+    return merged, [index[x] for x in base]
+
+
 def build_cell_grid(region: Polygon, tiles: Sequence[Rect]) -> CellGrid:
     """Sorted coordinate lists plus exact inside flags per induced cell.
 
@@ -435,24 +426,18 @@ def build_cell_grid(region: Polygon, tiles: Sequence[Rect]) -> CellGrid:
     ``[0, k) x [lo, hi)``, and a cell is inside iff an odd number of boxes
     cover it.  Parity over all loops at once equals the per-loop test
     because holes are disjoint, not nested, and strictly inside the outer
-    loop.
+    loop.  The region's sorted axes and index loops are reused.
     """
-    xs = {p.x for loop in region.loops for p in loop}
-    ys = {p.y for loop in region.loops for p in loop}
-    for t in tiles:
-        if t.field != region.field:
-            raise ValueError("tiles and region must share one field parameter")
-        xs.update((t.x, t.x2))
-        ys.update((t.y, t.y2))
-    sx = tuple(sorted(xs))
-    sy = tuple(sorted(ys))
-    xi = {x: i for i, x in enumerate(sx)}
-    yi = {y: j for j, y in enumerate(sy)}
+    if any(t.field != region.field for t in tiles):
+        raise ValueError("tiles and region must share one field parameter")
+    xs = {x for t in tiles for x in (t.x, t.x2)}
+    ys = {y for t in tiles for y in (t.y, t.y2)}
+    sx, xmap = _merge_axis(region._xs, xs)  # type: ignore[attr-defined]
+    sy, ymap = _merge_axis(region._ys, ys)  # type: ignore[attr-defined]
     spans = (
-        (0, xi[e.fixed], yi[e.lo], yi[e.hi])
-        for edges in region._edges  # type: ignore[attr-defined]
-        for e in edges
-        if e.vertical
+        (0, xmap[k], ymap[lo], ymap[hi])
+        for loop in region._index_loops  # type: ignore[attr-defined]
+        for k, lo, hi in _vertical_spans(loop)
     )
     crossings = _box_counts(spans, len(sx) - 1, len(sy) - 1)
     inside = tuple(tuple(c & 1 == 1 for c in row) for row in crossings)
@@ -508,6 +493,19 @@ def verify_tiling(dissection: Dissection) -> VerifyReport:
         if total != polygon_area(region):
             raise ArithmeticError("tile areas do not sum to the region area")
     return VerifyReport(valid, grid, cover, tuple(issues))
+
+
+def require_valid_tiling(region: Polygon, dissection: Dissection) -> None:
+    """Raise ``InvalidDissectionError`` unless the dissection is over this
+    region and passes ``verify_tiling``; the message names the first issue."""
+    if dissection.region != region:
+        raise InvalidDissectionError("dissection is not over the given polygon")
+    report = verify_tiling(dissection)
+    if not report.valid:
+        first = report.issues[0]
+        raise InvalidDissectionError(
+            f"dissection failed verification ({first.kind} at cell ({first.i}, {first.j}))"
+        )
 
 
 def tiles_equal(dissection: Dissection) -> tuple[Quad, Quad] | None:

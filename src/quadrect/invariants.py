@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .exactfield import FieldParam, Quad, format_quad
-from .geometry import Dissection, InvalidDissectionError, Polygon, Rect, verify_tiling
+from .geometry import Dissection, Polygon, Rect, require_valid_tiling
 
 __all__ = [
     "Basis",
@@ -170,14 +170,7 @@ def abc_area_polygon(region: Polygon, dissection: Dissection, params: ABCParams)
     The value does not depend on which dissection is supplied; tests exercise
     that independence explicitly.
     """
-    if dissection.region != region:
-        raise InvalidDissectionError("dissection is not over the given polygon")
-    report = verify_tiling(dissection)
-    if not report.valid:
-        raise InvalidDissectionError(
-            f"dissection failed verification ({report.issues[0].kind} at cell "
-            f"({report.issues[0].i}, {report.issues[0].j}))"
-        )
+    require_valid_tiling(region, dissection)
     total = Fraction(0)
     for t in dissection.tiles:
         total += abc_area_rect(t, params)

@@ -5,6 +5,10 @@ the object form ``{"a": "<rat>", "b": "<rat>"}`` (exactly those two keys,
 rational strings only) or the string grammar
 ``<rat> [ (+|-) <rat>*sqrt ]``; output always uses the object form with
 canonical rational strings, so load(save(x)) == x.
+
+Instances are read strictly: ``region`` is ``{"loops": [[[x, y], ...], ...]}``
+and each tile has exactly the keys x, y, w and h; only the top level may hold
+extra keys (``construct --out`` adds ``leaves``).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Any
 
 from .completion import Completion
 from .decision import SquareWithHoleDecision, Verdict
-from .exactfield import FieldParam, Quad, format_rat, parse_quad, parse_rat
+from .exactfield import FieldParam, Quad, format_rat, parse_quad, parse_rat, quad_from_rats
 from .geometry import Dissection, Point, Polygon, Rect, VerifyReport
 from .invariants import SeparationCertificate
 
@@ -54,7 +58,7 @@ def quad_from_json(obj: Any, field: FieldParam) -> Quad:
     if isinstance(obj, str):
         return parse_quad(obj, field)
     if isinstance(obj, dict) and obj.keys() == {"a", "b"}:
-        return field.quad(parse_rat(obj["a"]), parse_rat(obj["b"]))
+        return quad_from_rats(obj["a"], obj["b"], field)
     raise ValueError(f"cannot read field element from {obj!r}")
 
 
@@ -68,11 +72,25 @@ def _rect_to_json(r: Rect) -> dict[str, Any]:
 
 
 def _rect_from_json(obj: Any, field: FieldParam) -> Rect:
+    if not isinstance(obj, dict) or obj.keys() != {"x", "y", "w", "h"}:
+        raise ValueError("a tile needs exactly the keys x, y, w and h")
     return Rect(
         Point(quad_from_json(obj["x"], field), quad_from_json(obj["y"], field)),
         quad_from_json(obj["w"], field),
         quad_from_json(obj["h"], field),
     )
+
+
+def _point_from_json(obj: Any, field: FieldParam) -> Point:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ValueError("a vertex must be a list [x, y]")
+    return Point(quad_from_json(obj[0], field), quad_from_json(obj[1], field))
+
+
+def _list_of(obj: Any, what: str) -> list:
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a list")
+    return obj
 
 
 def instance_to_json(inst: Instance) -> dict[str, Any]:
@@ -93,16 +111,15 @@ def instance_from_json(doc: Any) -> Instance:
         raise ValueError("instance document needs a top-level 'p'")
     field = FieldParam(parse_rat(doc["p"]))
     region_doc = doc.get("region")
-    if not isinstance(region_doc, dict) or "loops" not in region_doc:
-        raise ValueError("instance document needs region.loops")
+    if not isinstance(region_doc, dict) or region_doc.keys() != {"loops"}:
+        raise ValueError("instance document needs a region with exactly the key 'loops'")
     loops = tuple(
-        tuple(
-            Point(quad_from_json(xy[0], field), quad_from_json(xy[1], field))
-            for xy in loop
-        )
-        for loop in region_doc["loops"]
+        tuple(_point_from_json(xy, field) for xy in _list_of(loop, "a loop"))
+        for loop in _list_of(region_doc["loops"], "region.loops")
     )
-    tiles = tuple(_rect_from_json(t, field) for t in doc.get("tiles", []))
+    tiles = tuple(
+        _rect_from_json(t, field) for t in _list_of(doc.get("tiles", []), "tiles")
+    )
     return Instance(field, Polygon(loops), tiles)
 
 

@@ -17,6 +17,7 @@ from quadrect.render import quad_to_decimal, render_svg
 from quadrect.samples import rect_of
 
 F2 = FieldParam(2)
+DROP = object()  # marks a key to delete from a document
 
 
 @pytest.fixture
@@ -79,8 +80,20 @@ class TestDecideCommands:
             (("tiles", 0, "w"), {"a": "0", "c": "7"}),
             (("tiles", 0, "x"), {"x": "3"}),
             (("tiles", 0, "h"), {"a": "1", "b": "0", "c": "0"}),
+            (("region", "loops", 0, 0), ["0"]),
+            (("region", "loops", 0, 0), ["0", "0", "7"]),
+            (("region", "loops"), [[]]),
+            (("tiles", 0, "z"), "9"),
+            (("tiles",), {"x": "0"}),
+            (("tiles", 0, "h"), DROP),
+            (("region", "loops"), {"0": []}),
+            (("region", "loops"), [5]),
+            (("region", "holes"), []),
         ],
-        ids=["p_number", "a_number_only", "a_and_b_numbers", "key_c", "key_x", "extra_key"],
+        ids=["p_number", "a_number_only", "a_and_b_numbers", "key_c", "key_x", "extra_key",
+             "one_coordinate", "three_coordinates", "empty_loop", "tile_key_z",
+             "tiles_object", "tile_without_h", "loops_object", "loop_number",
+             "region_key_holes"],
     )
     @pytest.mark.parametrize("command", [["verify"], ["decide", "polygon", "--r", "3"]])
     def test_malformed_json_scalar_exit_two(self, capsys, tmp_path, where, value, command):
@@ -90,7 +103,10 @@ class TestDecideCommands:
         parent = doc
         for step in where[:-1]:
             parent = parent[step]
-        parent[where[-1]] = value
+        if value is DROP:
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert run([*command, "--instance", str(path)]) == 2
