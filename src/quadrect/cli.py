@@ -37,6 +37,10 @@ from .render import render_svg
 
 __all__ = ["run", "main"]
 
+# Level sizes grow about fivefold per tile; a budget of 10 builds the classes
+# of up to 9 tiles (about 100k for r = 1 + sqrt(2)) and 11 would build 5x more.
+MAX_CONSTRUCT_LEAVES = 10
+
 
 def _emit(doc: object) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -84,6 +88,8 @@ def _cmd_complete(ns: argparse.Namespace) -> int:
 
 
 def _cmd_construct(ns: argparse.Namespace) -> int:
+    if ns.max_leaves > MAX_CONSTRUCT_LEAVES:
+        raise ValueError(f"--max-leaves must be at most {MAX_CONSTRUCT_LEAVES}")
     field = _field_of(ns)
     y = parse_quad(ns.y, field)
     r = parse_quad(ns.r, field)
@@ -193,7 +199,10 @@ def _build_parser() -> argparse.ArgumentParser:
     construct.add_argument("--y", required=True)
     construct.add_argument("--r", required=True)
     construct.add_argument("--p", required=True)
-    construct.add_argument("--max-leaves", type=int, default=8, dest="max_leaves")
+    construct.add_argument(
+        "--max-leaves", type=int, default=8, dest="max_leaves",
+        help=f"leaf budget, at most {MAX_CONSTRUCT_LEAVES}",
+    )
     construct.add_argument("--out", default=None, help="also write the instance JSON here")
     construct.set_defaults(handler=_cmd_construct)
 

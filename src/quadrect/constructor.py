@@ -6,9 +6,14 @@ by side (equal heights) adds their width/height ratios, while stacking them
 {r, 1/r}, the set of ratios reachable with exactly n tiles is built level by
 level; a ratio already reached at a smaller level keeps its first (hence
 smallest) witness, and enumeration order is fixed so results are
-reproducible.  A miss is only a miss: the search is depth-bounded and
-guillotine-only, so NotFound (None) never proves impossibility; the decision
-procedure is the authority on that.
+reproducible.  A search for one target never builds its last level n: a
+class is at level n iff it joins a class of level i <= n/2 with one of level
+n - i, so the target's residuals against the few classes of levels up to
+n/2 are looked up among level n - i instead, in the order the build would
+have met them, which gives the same first tree.  An enumeration
+(``reachable_ratios``) builds every level.  A miss is only a miss: the
+search is depth-bounded and guillotine-only, so NotFound (None) never
+proves impossibility; the decision procedure is the authority on that.
 
 The search runs on the bare canonical keys (A, B, D) that ``Quad`` stores
 (see ``exactfield``), through the same key functions, so the hot loop is
@@ -67,15 +72,28 @@ class VJoin:
 CompositionTree = Union[Leaf, HJoin, VJoin]
 
 
-def tree_ratio(tree: CompositionTree, tile_ratio: Quad) -> Quad:
+def _subtree_ratios(tree: CompositionTree, tile_ratio: Quad) -> dict[int, Quad]:
+    """The ratio of every subtree of ``tree``, keyed by ``id``, in one pass."""
     one = tile_ratio.field.one
-    if isinstance(tree, Leaf):
-        return one / tile_ratio if tree.rotated else tile_ratio
-    if isinstance(tree, HJoin):
-        return tree_ratio(tree.left, tile_ratio) + tree_ratio(tree.right, tile_ratio)
-    rb = tree_ratio(tree.bottom, tile_ratio)
-    rt = tree_ratio(tree.top, tile_ratio)
-    return one / (one / rb + one / rt)
+    leaf = (tile_ratio, one / tile_ratio)
+    ratios: dict[int, Quad] = {}
+
+    def walk(t: CompositionTree) -> Quad:
+        if isinstance(t, Leaf):
+            q = leaf[t.rotated]
+        elif isinstance(t, HJoin):
+            q = walk(t.left) + walk(t.right)
+        else:
+            q = one / (one / walk(t.bottom) + one / walk(t.top))
+        ratios[id(t)] = q
+        return q
+
+    walk(tree)
+    return ratios
+
+
+def tree_ratio(tree: CompositionTree, tile_ratio: Quad) -> Quad:
+    return _subtree_ratios(tree, tile_ratio)[id(tree)]
 
 
 def leaf_count(tree: CompositionTree) -> int:
@@ -98,7 +116,14 @@ _JOIN = "join"
 def _expand(
     r: Quad, max_leaves: int, target: Quad | None
 ) -> tuple[dict, list[list[Key]], tuple[Key, bool] | None]:
-    """Level-by-level reachable-ratio construction with first-found trees."""
+    """Level-by-level reachable-ratio construction with first-found trees.
+
+    Without a target every level up to ``max_leaves`` is built.  With one,
+    the build stops at the first level holding the target's class, and the
+    last level is never built: ``_last_level_join`` finds the node its build
+    would record for the target.  Inverses are kept only for the levels that
+    a later build reads.
+    """
     P = r.field.radicand
     rkey = r.key
     r_ge1 = _kge1(rkey, P)
@@ -108,6 +133,7 @@ def _expand(
     levels: list[list[Key]] = [[], [rep]]
 
     target_entry: tuple[Key, bool] | None = None
+    last = max_leaves
     if target is not None:
         tkey = target.key
         if _kge1(tkey, P):
@@ -116,8 +142,9 @@ def _expand(
             target_entry = (key_inv(tkey, P), True)
         if target_entry[0] in nodes:
             return nodes, levels, target_entry
+        last = max_leaves - 1
 
-    for n in range(2, max_leaves + 1):
+    for n in range(2, last + 1):
         new: list[Key] = []
         for i in range(1, n // 2 + 1):
             j = n - i
@@ -145,12 +172,60 @@ def _expand(
                     if ck in nodes:
                         continue
                     nodes[ck] = (_JOIN, xkey, fx, ykey, fy, outer_inv)
-                    inv_of[ck] = key_inv(ck, P)
                     new.append(ck)
         levels.append(new)
         if target_entry is not None and target_entry[0] in nodes:
-            break
+            return nodes, levels, target_entry
+        if n < last:
+            for ck in new:
+                inv_of[ck] = key_inv(ck, P)
+
+    if target_entry is not None and max_leaves >= 2:
+        join = _last_level_join(target_entry[0], levels, inv_of, max_leaves, P)
+        if join is not None:
+            nodes[target_entry[0]] = join
     return nodes, levels, target_entry
+
+
+def _last_level_join(
+    t: Key, levels: list[list[Key]], inv_of: dict[Key, Key], n: int, P: int
+) -> tuple | None:
+    """The node that building level n would record for the class t >= 1, or
+    None if t is not reachable with n tiles.
+
+    t is at level n iff u_x + u_y is t or 1/t for some x in level i <= n/2
+    and y in level n - i, where u_x is x or 1/x.  So each x looks up its
+    positive residuals t - u_x and 1/t - u_x, canonicalized, among the
+    classes of level n - i.  The build visits (i, x, y, orientation) in
+    order and keeps the first hit, so x keeps its smallest (y index, fx, fy)
+    candidate and the first x with one wins.  The build pairs x only with
+    y at or after it when i = n - i, but the lookup needs no such guard: a
+    candidate y before x would have found x in its own, earlier lookup.
+    """
+    sums = [(t, False)]
+    if t != (1, 0, 1):
+        sums.append((key_inv(t, P), True))
+    for i in range(1, n // 2 + 1):
+        lj = levels[n - i]
+        index = {k: y for y, k in enumerate(lj)}
+        for xkey in levels[i]:
+            best = None
+            for fx, (a, b, d) in ((False, xkey), (True, inv_of[xkey])):
+                for s, outer_inv in sums:
+                    res = key_add(s, (-a, -b, d))
+                    if int_sign(res[0], res[1], P) <= 0:
+                        continue
+                    fy = not _kge1(res, P)
+                    y = index.get(key_inv(res, P) if fy else res)
+                    if y is None:
+                        continue
+                    cand = (y, fx, fy, outer_inv)
+                    if best is None or cand < best:
+                        best = cand
+            if best is not None:
+                y, fx, fy, outer_inv = best
+                return (_JOIN, xkey, fx, lj[y], fy, outer_inv)
+    return None
 
 
 def _build_tree(nodes: dict, key: Key, inv: bool) -> CompositionTree:
@@ -219,8 +294,8 @@ def realize_tree(tree: CompositionTree, target: Rect, tile_ratio: Quad) -> Disse
     ratio ``tile_ratio`` or its inverse.  Tiles are listed in depth-first
     order (left before right, bottom before top).
     """
-    want = tree_ratio(tree, tile_ratio)
-    if want != rect_ratio(target):
+    ratios = _subtree_ratios(tree, tile_ratio)
+    if ratios[id(tree)] != rect_ratio(target):
         raise ValueError("tree ratio does not match the target rectangle")
     one = tile_ratio.field.one
     tiles: list[Rect] = []
@@ -230,14 +305,14 @@ def realize_tree(tree: CompositionTree, target: Rect, tile_ratio: Quad) -> Disse
             tiles.append(Rect(Point(x, y), w, h))
             return
         if isinstance(t, HJoin):
-            rl = tree_ratio(t.left, tile_ratio)
-            rr = tree_ratio(t.right, tile_ratio)
+            rl = ratios[id(t.left)]
+            rr = ratios[id(t.right)]
             wl = w * rl / (rl + rr)
             place(t.left, x, y, wl, h)
             place(t.right, x + wl, y, w - wl, h)
             return
-        qb = one / tree_ratio(t.bottom, tile_ratio)
-        qt = one / tree_ratio(t.top, tile_ratio)
+        qb = one / ratios[id(t.bottom)]
+        qt = one / ratios[id(t.top)]
         hb = h * qb / (qb + qt)
         place(t.bottom, x, y, w, hb)
         place(t.top, x, y + hb, w, h - hb)

@@ -43,15 +43,25 @@ _QUAD_RE = re.compile(
 )
 
 
+_EXCERPT_CHARS = 60
+
+
+def excerpt(text: str) -> str:
+    """``text`` cut to a fixed length, for echoing input in error messages."""
+    if len(text) <= _EXCERPT_CHARS:
+        return text
+    return f"{text[:_EXCERPT_CHARS]}... ({len(text)} characters)"
+
+
 def _rat_parts(text: object) -> tuple[int, int]:
     if not isinstance(text, str):
-        raise ValueError(f"rational literal must be a string, got {text!r}")
+        raise ValueError(f"rational literal must be a string, got {excerpt(repr(text))}")
     m = _RAT_RE.match(text.strip())
     if m is None:
-        raise ValueError(f"malformed rational literal: {text!r}")
+        raise ValueError(f"malformed rational literal: {excerpt(repr(text))}")
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
-        raise ValueError(f"zero denominator in rational literal: {text!r}")
+        raise ValueError(f"zero denominator in rational literal: {excerpt(repr(text))}")
     return int(m.group(1)), den
 
 
@@ -141,9 +151,9 @@ class FieldParam:
         p = self.p if isinstance(self.p, Fraction) else Fraction(self.p)
         object.__setattr__(self, "p", p)
         if p <= 0:
-            raise ValueError(f"field parameter must be positive, got {p}")
+            raise ValueError(f"field parameter must be positive, got {excerpt(str(p))}")
         if _is_perfect_square(p.numerator) and _is_perfect_square(p.denominator):
-            raise ValueError(f"field parameter {p} is the square of a rational")
+            raise ValueError(f"field parameter {excerpt(str(p))} is the square of a rational")
         object.__setattr__(self, "radicand", p.numerator * p.denominator)
         object.__setattr__(self, "pd", p.denominator)
 
@@ -318,7 +328,7 @@ def parse_quad(text: str, field: FieldParam) -> Quad:
     """Parse ``<rat>`` or ``<rat> (+|-) <rat>*sqrt`` into the given field."""
     m = _QUAD_RE.match(text) if isinstance(text, str) else None
     if m is None:
-        raise ValueError(f"malformed field-element literal: {text!r}")
+        raise ValueError(f"malformed field-element literal: {excerpt(repr(text))}")
     x = quad_from_rats(m.group(1), m.group(3) or "0", field)
     return x.conj() if m.group(2) == "-" else x
 

@@ -20,7 +20,15 @@ from typing import Any
 
 from .completion import Completion
 from .decision import SquareWithHoleDecision, Verdict
-from .exactfield import FieldParam, Quad, format_rat, parse_quad, parse_rat, quad_from_rats
+from .exactfield import (
+    FieldParam,
+    Quad,
+    excerpt,
+    format_rat,
+    parse_quad,
+    parse_rat,
+    quad_from_rats,
+)
 from .geometry import Dissection, Point, Polygon, Rect, VerifyReport
 from .invariants import SeparationCertificate
 
@@ -59,7 +67,7 @@ def quad_from_json(obj: Any, field: FieldParam) -> Quad:
         return parse_quad(obj, field)
     if isinstance(obj, dict) and obj.keys() == {"a", "b"}:
         return quad_from_rats(obj["a"], obj["b"], field)
-    raise ValueError(f"cannot read field element from {obj!r}")
+    raise ValueError(f"cannot read field element from {excerpt(repr(obj))}")
 
 
 def _rect_to_json(r: Rect) -> dict[str, Any]:

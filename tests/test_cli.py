@@ -89,11 +89,12 @@ class TestDecideCommands:
             (("region", "loops"), {"0": []}),
             (("region", "loops"), [5]),
             (("region", "holes"), []),
+            (("region", "loops", 0, 1, 0), {"a": "0", "b": "0", "c": ["9"] * 20000}),
         ],
         ids=["p_number", "a_number_only", "a_and_b_numbers", "key_c", "key_x", "extra_key",
              "one_coordinate", "three_coordinates", "empty_loop", "tile_key_z",
              "tiles_object", "tile_without_h", "loops_object", "loop_number",
-             "region_key_holes"],
+             "region_key_holes", "huge_coordinate"],
     )
     @pytest.mark.parametrize("command", [["verify"], ["decide", "polygon", "--r", "3"]])
     def test_malformed_json_scalar_exit_two(self, capsys, tmp_path, where, value, command):
@@ -114,6 +115,23 @@ class TestDecideCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+        assert len(captured.err) < 200
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ([f"--y={'9' * 5000}x", "--p=2"], "malformed field-element literal: '9999"),
+            (["--y=1", f"--p=-{'9' * 4000}"], "field parameter must be positive, got -9999"),
+            (["--y=1", f"--p={'9' * 5000}/0"], "zero denominator in rational literal: '9999"),
+        ],
+        ids=["y_literal", "negative_p", "zero_denominator"],
+    )
+    def test_long_literal_echo_is_bounded(self, capsys, flags, message):
+        assert run(["decide", "rect", "--r=1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert len(captured.err) < 200
 
     def test_polygon_via_instance(self, capsys, pinwheel_file):
         code = run(["decide", "polygon", "--instance", str(pinwheel_file),
@@ -191,6 +209,16 @@ class TestVerifyCompleteConstruct:
                     "--max-leaves", "5"])
         assert code == 1
         assert "witness" in capsys.readouterr().err
+
+    def test_construct_leaf_cap_exit_two(self, capsys):
+        # Rejected before any search runs.
+        code = run(["construct", "--y", "1", "--r", "1+1*sqrt", "--p", "2",
+                    "--max-leaves", "11"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "--max-leaves must be at most 10" in captured.err
 
 
 class TestInvariantsCommands:
