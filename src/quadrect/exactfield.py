@@ -36,10 +36,12 @@ __all__ = [
 
 Key = tuple[int, int, int]
 
-_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# Digits are ASCII only ([0-9], not the Unicode-wide \d), the set that the
+# fast path in ``_rat_parts`` accepts too.
+_RAT_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 _QUAD_RE = re.compile(
-    r"^\s*([+-]?\d+(?:/\d+)?)"
-    r"(?:\s*([+-])\s*([+-]?\d+(?:/\d+)?)\s*\*\s*sqrt)?\s*$"
+    r"^\s*([+-]?[0-9]+(?:/[0-9]+)?)"
+    r"(?:\s*([+-])\s*([+-]?[0-9]+(?:/[0-9]+)?)\s*\*\s*sqrt)?\s*$"
 )
 
 
@@ -54,6 +56,23 @@ def excerpt(text: str) -> str:
 
 
 def _rat_parts(text: object) -> tuple[int, int]:
+    """(numerator, denominator) of a rational literal.  Plain ASCII
+    ``[+-]digits[/digits]`` with a nonzero denominator is split without the
+    regex; anything else, and every error message, comes from
+    ``_rat_parts_re``."""
+    if isinstance(text, str):
+        s = text.strip()
+        num, slash, den = s.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if s.isascii() and digits.isdigit():
+            if not slash:
+                return int(num), 1
+            if den.isdigit() and (d := int(den)):
+                return int(num), d
+    return _rat_parts_re(text)
+
+
+def _rat_parts_re(text: object) -> tuple[int, int]:
     if not isinstance(text, str):
         raise ValueError(f"rational literal must be a string, got {excerpt(repr(text))}")
     m = _RAT_RE.match(text.strip())

@@ -7,8 +7,7 @@ grid indices decides which cells lie inside the region, and a 2-D difference
 array counts how many tiles cover each cell.  Exact arithmetic is needed only
 to sort and index coordinates and for areas.  Every failure names a witness
 cell whose midpoint stays inside the field, so any independent tool can
-re-check it with the exact point-in-region tests, which read the loops'
-points, not the grid.
+re-check it with an exact point-in-region test on the loops' points.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ __all__ = [
     "require_valid_tiling",
     "tiles_equal",
     "rect_ratio",
-    "point_in_region_crossing",
-    "point_in_region_winding",
     "square_with_hole_polygon",
     "pinwheel_dissection",
 ]
@@ -56,7 +53,7 @@ class Point:
     y: Quad
 
     def __post_init__(self) -> None:
-        if self.x.field != self.y.field:
+        if self.x.field is not self.y.field and self.x.field != self.y.field:
             raise ValueError("point coordinates must share one field parameter")
 
     @property
@@ -76,8 +73,10 @@ class Rect:
     height: Quad
 
     def __post_init__(self) -> None:
-        if self.width.field != self.origin.field or self.height.field != self.origin.field:
-            raise ValueError("rectangle coordinates must share one field parameter")
+        field = self.origin.field
+        for side in (self.width, self.height):
+            if side.field is not field and side.field != field:
+                raise ValueError("rectangle coordinates must share one field parameter")
         if self.width.sign() <= 0 or self.height.sign() <= 0:
             raise ValueError("rectangle sides must be positive")
 
@@ -93,11 +92,13 @@ class Rect:
     def y(self) -> Quad:
         return self.origin.y
 
-    @property
+    # Cached in the instance dict, outside the dataclass fields, so equality
+    # and hashing still see only origin, width and height.
+    @cached_property
     def x2(self) -> Quad:
         return self.origin.x + self.width
 
-    @property
+    @cached_property
     def y2(self) -> Quad:
         return self.origin.y + self.height
 
@@ -189,10 +190,13 @@ class Polygon:
                 raise ValueError("degenerate loop (fewer than 4 vertices)")
             horiz = []
             for p, q in _cycle_pairs(loop):
-                if p.field != field or q.field != field:
+                if (p.field is not field and p.field != field) or (
+                    q.field is not field and q.field != field
+                ):
                     raise ValueError("polygon coordinates must share one field parameter")
-                dx_zero = (q.x - p.x).is_zero()
-                dy_zero = (q.y - p.y).is_zero()
+                # Keys are canonical, so equal keys mean equal coordinates.
+                dx_zero = q.x.key == p.x.key
+                dy_zero = q.y.key == p.y.key
                 if dx_zero == dy_zero:
                     raise ValueError("edges must be axis-parallel and of nonzero length")
                 horiz.append(dy_zero)
@@ -274,59 +278,6 @@ def polygon_area(region: Polygon) -> Quad:
     for a2 in region._areas2:  # type: ignore[attr-defined]
         total = total + a2
     return total * _HALF
-
-
-def _on_edge(pt: Point, p: Point, q: Point) -> bool:
-    """Whether pt lies on the closed axis-parallel segment pq."""
-    return (
-        min(p.x, q.x) <= pt.x <= max(p.x, q.x)
-        and min(p.y, q.y) <= pt.y <= max(p.y, q.y)
-    )
-
-
-def point_in_region_crossing(region: Polygon, pt: Point) -> bool:
-    """Strict interior test by per-loop crossing parity.
-
-    Raises if the point lies on any loop boundary; callers that probe cell
-    midpoints never hit that case because midpoints avoid all grid lines.
-    """
-    inside_outer = False
-    for li, loop in enumerate(region.loops):
-        if any(_on_edge(pt, p, q) for p, q in _cycle_pairs(loop)):
-            raise ValueError("point lies on the region boundary")
-        crossings = 0
-        for p, q in _cycle_pairs(loop):
-            # Horizontal ray towards +x; the half-open rule at the top
-            # endpoint counts crossings through shared vertices once.
-            if p.x == q.x and p.x > pt.x and min(p.y, q.y) <= pt.y < max(p.y, q.y):
-                crossings ^= 1
-        if li == region.outer_index:
-            inside_outer = crossings == 1
-        elif crossings:
-            return False
-    return inside_outer
-
-
-def point_in_region_winding(region: Polygon, pt: Point) -> bool:
-    """Strict interior test by total winding number.
-
-    Independent of the crossing-parity implementation: it accumulates signed
-    crossings of directed vertical edges over all loops at once (outer loops
-    wind positively, holes negatively), and the point is interior iff the
-    total is nonzero.
-    """
-    wn = 0
-    for loop in region.loops:
-        for p, q in _cycle_pairs(loop):
-            if _on_edge(pt, p, q):
-                raise ValueError("point lies on the region boundary")
-            if p.x != q.x or pt.x >= p.x:
-                continue
-            if p.y <= pt.y < q.y:
-                wn += 1
-            elif q.y <= pt.y < p.y:
-                wn -= 1
-    return wn != 0
 
 
 @dataclass(frozen=True)
@@ -417,18 +368,19 @@ def _merge_axis(
 def build_cell_grid(region: Polygon, tiles: Sequence[Rect]) -> CellGrid:
     """Sorted coordinate lists plus exact inside flags per induced cell.
 
-    The flags come from a row sweep that applies the crossing rule of
-    ``point_in_region_crossing`` to every cell midpoint at once.  A vertical
-    edge at grid column ``k`` spanning rows ``lo <= j < hi`` crosses the +x
-    ray from a midpoint in row ``j`` exactly when the cell lies left of the
-    edge (``i < k``), and the half-open row range is the ray's half-open rule
+    The flags come from a row sweep that applies the crossing-parity rule
+    for a +x ray to every cell midpoint at once.  A vertical edge at grid
+    column ``k`` spanning rows ``lo <= j < hi`` crosses the +x ray from a
+    midpoint in row ``j`` exactly when the cell lies left of the edge
+    (``i < k``), and the half-open row range is the ray's half-open rule
     at the edge's endpoints.  So each edge contributes the index box
     ``[0, k) x [lo, hi)``, and a cell is inside iff an odd number of boxes
     cover it.  Parity over all loops at once equals the per-loop test
     because holes are disjoint, not nested, and strictly inside the outer
     loop.  The region's sorted axes and index loops are reused.
     """
-    if any(t.field != region.field for t in tiles):
+    field = region.field
+    if any(t.field is not field and t.field != field for t in tiles):
         raise ValueError("tiles and region must share one field parameter")
     xs = {x for t in tiles for x in (t.x, t.x2)}
     ys = {y for t in tiles for y in (t.y, t.y2)}
@@ -475,6 +427,8 @@ def verify_tiling(dissection: Dissection) -> VerifyReport:
     cover = grid.count_cover(tiles)
     issues = []
     for j, (flags, counts) in enumerate(zip(grid.inside, cover)):
+        if counts == flags:  # True == 1, False == 0: the row is clean
+            continue
         for i, (inside, c) in enumerate(zip(flags, counts)):
             if inside:
                 if c == 1:

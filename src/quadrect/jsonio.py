@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .completion import Completion
 from .decision import SquareWithHoleDecision, Verdict
@@ -79,20 +79,43 @@ def _rect_to_json(r: Rect) -> dict[str, Any]:
     }
 
 
-def _rect_from_json(obj: Any, field: FieldParam) -> Rect:
+def _scalar_reader(field: FieldParam) -> Callable[[Any], Quad]:
+    """``quad_from_json`` for one document that parses each distinct literal
+    once: a string by itself, an object by its ``(a, b)`` pair.  Only
+    successful parses are kept; any other value goes straight to
+    ``quad_from_json``, so errors keep their messages and their order."""
+    memo: dict[Any, Quad] = {}
+
+    def read(obj: Any) -> Quad:
+        if isinstance(obj, str):
+            key = obj
+        elif (
+            isinstance(obj, dict)
+            and len(obj) == 2
+            and isinstance(a := obj.get("a"), str)
+            and isinstance(b := obj.get("b"), str)
+        ):
+            key = (a, b)
+        else:
+            return quad_from_json(obj, field)
+        x = memo.get(key)
+        if x is None:
+            x = memo[key] = quad_from_json(obj, field)
+        return x
+
+    return read
+
+
+def _rect_from_json(obj: Any, read: Callable[[Any], Quad]) -> Rect:
     if not isinstance(obj, dict) or obj.keys() != {"x", "y", "w", "h"}:
         raise ValueError("a tile needs exactly the keys x, y, w and h")
-    return Rect(
-        Point(quad_from_json(obj["x"], field), quad_from_json(obj["y"], field)),
-        quad_from_json(obj["w"], field),
-        quad_from_json(obj["h"], field),
-    )
+    return Rect(Point(read(obj["x"]), read(obj["y"])), read(obj["w"]), read(obj["h"]))
 
 
-def _point_from_json(obj: Any, field: FieldParam) -> Point:
+def _point_from_json(obj: Any, read: Callable[[Any], Quad]) -> Point:
     if not isinstance(obj, list) or len(obj) != 2:
         raise ValueError("a vertex must be a list [x, y]")
-    return Point(quad_from_json(obj[0], field), quad_from_json(obj[1], field))
+    return Point(read(obj[0]), read(obj[1]))
 
 
 def _list_of(obj: Any, what: str) -> list:
@@ -118,15 +141,16 @@ def instance_from_json(doc: Any) -> Instance:
     if not isinstance(doc, dict) or "p" not in doc:
         raise ValueError("instance document needs a top-level 'p'")
     field = FieldParam(parse_rat(doc["p"]))
+    read = _scalar_reader(field)
     region_doc = doc.get("region")
     if not isinstance(region_doc, dict) or region_doc.keys() != {"loops"}:
         raise ValueError("instance document needs a region with exactly the key 'loops'")
     loops = tuple(
-        tuple(_point_from_json(xy, field) for xy in _list_of(loop, "a loop"))
+        tuple(_point_from_json(xy, read) for xy in _list_of(loop, "a loop"))
         for loop in _list_of(region_doc["loops"], "region.loops")
     )
     tiles = tuple(
-        _rect_from_json(t, field) for t in _list_of(doc.get("tiles", []), "tiles")
+        _rect_from_json(t, read) for t in _list_of(doc.get("tiles", []), "tiles")
     )
     return Instance(field, Polygon(loops), tiles)
 

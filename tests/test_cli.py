@@ -133,6 +133,34 @@ class TestDecideCommands:
         assert captured.err.startswith(f"error: {message}")
         assert len(captured.err) < 200
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--y=1", "--p=٢"], "malformed rational literal: '٢'"),
+            (["--y=٣", "--p=2"], "malformed field-element literal: '٣'"),
+            (["--y=1 + ３*sqrt", "--p=2"], "malformed field-element literal: '1 + ３*sqrt'"),
+        ],
+        ids=["arabic_indic_p", "arabic_indic_y", "fullwidth_y_coefficient"],
+    )
+    def test_non_ascii_digits_exit_two(self, capsys, flags, message):
+        assert run(["decide", "rect", "--r=1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", [["verify"], ["decide", "polygon", "--r", "3"]])
+    def test_non_ascii_tile_scalar_exit_two(self, capsys, tmp_path, command):
+        doc = instance_to_json(
+            dissection_to_instance(pinwheel_dissection(F2.quad(3), F2.quad(1)))
+        )
+        doc["tiles"][0]["w"] = {"a": "３", "b": "0"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run([*command, "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: malformed rational literal: '３'\n"
+
     def test_polygon_via_instance(self, capsys, pinwheel_file):
         code = run(["decide", "polygon", "--instance", str(pinwheel_file),
                     "--r", "1+1*sqrt"])

@@ -13,6 +13,8 @@ from quadrect import (
     parse_quad,
     parse_rat,
 )
+from quadrect import exactfield
+from quadrect.exactfield import _rat_parts, _rat_parts_re
 
 F2 = FieldParam(2)
 
@@ -158,6 +160,13 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_rat("2/-3")
 
+    @pytest.mark.parametrize("text", ["٣", "３/４", "1/٤", "²", "-３"])
+    def test_non_ascii_digits_rejected(self, text):
+        with pytest.raises(ValueError, match="malformed rational literal"):
+            parse_rat(text)
+        with pytest.raises(ValueError, match="malformed field-element literal"):
+            parse_quad(f"1 + {text}*sqrt", F2)
+
     @given(quads)
     def test_round_trip(self, x):
         assert parse_quad(format_quad(x), F2) == x
@@ -168,6 +177,52 @@ class TestParsing:
     def test_format_is_canonical(self, text):
         once = format_quad(parse_quad(text, F2))
         assert format_quad(parse_quad(once, F2)) == once
+
+
+def _outcome(parts, text):
+    try:
+        return parts(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+LITERAL_CORPUS = [
+    "+3", "-0", "007", " 3", "3\n", "3/0", "3/-4", "1_000", "3/", "/3", "", "+",
+    "--3", "+-3", "7/3", "-12/08", "0/5", "3 /4", "3/ 4", "\t-5/6 ", "1.5", "٣",
+    "３/４", "²", "9" * 50 + "/" + "7" * 40, "9" * 5000 + "/0", "-" + "9" * 5000,
+]
+
+
+class TestRatFastPath:
+    """``_rat_parts`` skips the regex for plain literals; it must agree with
+    the regex reader ``_rat_parts_re`` on every input, errors included."""
+
+    @pytest.mark.parametrize("text", LITERAL_CORPUS, ids=lambda t: ascii(t)[:24])
+    def test_corpus(self, text):
+        assert _outcome(_rat_parts, text) == _outcome(_rat_parts_re, text)
+
+    @given(
+        st.one_of(
+            st.text(alphabet="0123456789+-/ _\n\t٣３²", max_size=10),
+            st.text(max_size=8),
+        )
+    )
+    def test_generated(self, text):
+        assert _outcome(_rat_parts, text) == _outcome(_rat_parts_re, text)
+
+    @pytest.mark.parametrize("value", [3, 1.5, None, ["3"], b"3"])
+    def test_non_strings(self, value):
+        assert _outcome(_rat_parts, value) == _outcome(_rat_parts_re, value)
+
+    def test_plain_literals_skip_the_regex(self, monkeypatch):
+        def regex_reader(text):
+            raise AssertionError(f"regex reader called for {text!r}")
+
+        monkeypatch.setattr(exactfield, "_rat_parts_re", regex_reader)
+        assert _rat_parts(" -12/08") == (-12, 8)
+        assert _rat_parts("+007") == (7, 1)
+        with pytest.raises(AssertionError):
+            _rat_parts("3/0")
 
 
 class TestHashing:

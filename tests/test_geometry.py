@@ -15,8 +15,6 @@ from quadrect import (
     Rect,
     build_cell_grid,
     pinwheel_dissection,
-    point_in_region_crossing,
-    point_in_region_winding,
     polygon_area,
     rect_ratio,
     square_with_hole_polygon,
@@ -32,6 +30,7 @@ from quadrect.samples import (
     random_rectilinear_polygon,
     rect_of,
 )
+from region_reference import point_in_region_crossing, point_in_region_winding
 
 F2 = FieldParam(2)
 

@@ -24,7 +24,6 @@ from quadrect import (
     Polygon,
     Rect,
     complete_to_rectangle,
-    point_in_region_crossing,
     verify_complement,
     verify_tiling,
 )
@@ -37,6 +36,7 @@ from quadrect.samples import (
     random_rectilinear_polygon,
     random_vector_guillotine,
 )
+from region_reference import point_in_region_crossing
 
 F2 = FieldParam(2)
 HALF = Fraction(1, 2)
