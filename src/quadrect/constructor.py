@@ -6,14 +6,17 @@ by side (equal heights) adds their width/height ratios, while stacking them
 {r, 1/r}, the set of ratios reachable with exactly n tiles is built level by
 level; a ratio already reached at a smaller level keeps its first (hence
 smallest) witness, and enumeration order is fixed so results are
-reproducible.  A search for one target never builds its last level n: a
-class is at level n iff it joins a class of level i <= n/2 with one of level
-n - i, so the target's residuals against the few classes of levels up to
-n/2 are looked up among level n - i instead, in the order the build would
-have met them, which gives the same first tree.  An enumeration
-(``reachable_ratios``) builds every level.  A miss is only a miss: the
-search is depth-bounded and guillotine-only, so NotFound (None) never
-proves impossibility; the decision procedure is the authority on that.
+reproducible.  A search for one target with a budget of n tiles builds
+levels only up to n - 2.  A class is at level m iff it joins a class of
+level i <= m/2 with one of level m - i, so the target's residuals against
+the few classes of levels up to m/2 are looked up among level m - i instead,
+in the order the build would have met them, which gives the same first tree
+and settles level n - 1.  At level n, the residuals against level 1 would
+lie at the unbuilt level n - 1; each is settled by the same lookup one level
+down, whose join's rank orders them as their positions there would.  An
+enumeration (``reachable_ratios``) builds every level.  A miss is only a
+miss: the search is depth-bounded and guillotine-only, so NotFound (None)
+never proves impossibility; the decision procedure is the authority on that.
 
 The search runs on the bare canonical keys (A, B, D) that ``Quad`` stores
 (see ``exactfield``), through the same key functions, so the hot loop is
@@ -119,10 +122,11 @@ def _expand(
     """Level-by-level reachable-ratio construction with first-found trees.
 
     Without a target every level up to ``max_leaves`` is built.  With one,
-    the build stops at the first level holding the target's class, and the
-    last level is never built: ``_last_level_join`` finds the node its build
-    would record for the target.  Inverses are kept only for the levels that
-    a later build reads.
+    the build stops at the first level holding the target's class, and no
+    level beyond ``max(1, max_leaves - 2)`` is built: ``_first_join`` finds
+    the node that building each remaining level, up to ``max_leaves``,
+    would record for the target.  Inverses are kept only for the levels
+    that a later build or lookup reads.
     """
     P = r.field.radicand
     rkey = r.key
@@ -142,7 +146,9 @@ def _expand(
             target_entry = (key_inv(tkey, P), True)
         if target_entry[0] in nodes:
             return nodes, levels, target_entry
-        last = max_leaves - 1
+        last = max(1, max_leaves - 2)
+    # builds read the levels below ``last``, lookups those up to max_leaves/2
+    inv_upto = max(last - 1, max_leaves // 2)
 
     for n in range(2, last + 1):
         new: list[Key] = []
@@ -176,39 +182,63 @@ def _expand(
         levels.append(new)
         if target_entry is not None and target_entry[0] in nodes:
             return nodes, levels, target_entry
-        if n < last:
+        if n <= inv_upto:
             for ck in new:
                 inv_of[ck] = key_inv(ck, P)
 
-    if target_entry is not None and max_leaves >= 2:
-        join = _last_level_join(target_entry[0], levels, inv_of, max_leaves, P)
-        if join is not None:
-            nodes[target_entry[0]] = join
+    if target_entry is not None:
+        tkey = target_entry[0]
+        indexes: dict[int, dict[Key, int]] = {}
+        for n in range(last + 1, max_leaves + 1):
+            found = _first_join(tkey, n, levels, inv_of, nodes, indexes, P)
+            if found is not None:
+                nodes[tkey] = found[0]
+                break
     return nodes, levels, target_entry
 
 
-def _last_level_join(
-    t: Key, levels: list[list[Key]], inv_of: dict[Key, Key], n: int, P: int
-) -> tuple | None:
-    """The node that building level n would record for the class t >= 1, or
-    None if t is not reachable with n tiles.
+def _first_join(
+    t: Key,
+    n: int,
+    levels: list[list[Key]],
+    inv_of: dict[Key, Key],
+    nodes: dict,
+    indexes: dict[int, dict[Key, int]],
+    P: int,
+) -> tuple[tuple, tuple] | None:
+    """The node that building level n would record for the class t >= 1,
+    with its rank (i, x index, y index, fx, fy), or None if t is not
+    reachable with n tiles.  t must lie at no level below n, and every level
+    below n - 1 must be built.
 
     t is at level n iff u_x + u_y is t or 1/t for some x in level i <= n/2
     and y in level n - i, where u_x is x or 1/x.  So each x looks up its
     positive residuals t - u_x and 1/t - u_x, canonicalized, among the
     classes of level n - i.  The build visits (i, x, y, orientation) in
     order and keeps the first hit, so x keeps its smallest (y index, fx, fy)
-    candidate and the first x with one wins.  The build pairs x only with
-    y at or after it when i = n - i, but the lookup needs no such guard: a
-    candidate y before x would have found x in its own, earlier lookup.
+    candidate and the first x with one wins; that tuple, prefixed by i and
+    x's index, is the rank, and it orders the classes of level n exactly as
+    their positions do.  The build pairs x only with y at or after it when
+    i = n - i, but the lookup needs no such guard: a candidate y before x
+    would have found x in its own, earlier lookup.
+
+    If level n - 1 is not built, a residual against level 1 is settled by
+    its own lookup at level n - 1, and its rank stands in for its index
+    there.  No built level holds such a residual, or t would lie below
+    level n.  The winning residual's node then goes into ``nodes``.
+    ``indexes`` caches each level's {key: index} map.
     """
     sums = [(t, False)]
     if t != (1, 0, 1):
         sums.append((key_inv(t, P), True))
     for i in range(1, n // 2 + 1):
-        lj = levels[n - i]
-        index = {k: y for y, k in enumerate(lj)}
-        for xkey in levels[i]:
+        j = n - i
+        built = j < len(levels)
+        if built:
+            index = indexes.get(j)
+            if index is None:
+                index = indexes[j] = {k: y for y, k in enumerate(levels[j])}
+        for xi, xkey in enumerate(levels[i]):
             best = None
             for fx, (a, b, d) in ((False, xkey), (True, inv_of[xkey])):
                 for s, outer_inv in sums:
@@ -216,15 +246,25 @@ def _last_level_join(
                     if int_sign(res[0], res[1], P) <= 0:
                         continue
                     fy = not _kge1(res, P)
-                    y = index.get(key_inv(res, P) if fy else res)
-                    if y is None:
-                        continue
-                    cand = (y, fx, fy, outer_inv)
+                    ykey = key_inv(res, P) if fy else res
+                    if built:
+                        y = index.get(ykey)
+                        if y is None:
+                            continue
+                        ynode = None
+                    else:
+                        found = _first_join(ykey, j, levels, inv_of, nodes, indexes, P)
+                        if found is None:
+                            continue
+                        ynode, y = found
+                    cand = (y, fx, fy, outer_inv, ykey, ynode)
                     if best is None or cand < best:
                         best = cand
             if best is not None:
-                y, fx, fy, outer_inv = best
-                return (_JOIN, xkey, fx, lj[y], fy, outer_inv)
+                y, fx, fy, outer_inv, ykey, ynode = best
+                if ynode is not None:
+                    nodes[ykey] = ynode
+                return (_JOIN, xkey, fx, ykey, fy, outer_inv), (i, xi, y, fx, fy)
     return None
 
 
@@ -282,7 +322,9 @@ def reachable_ratios(r: Quad, max_leaves: int) -> dict[Quad, int]:
         raise ValueError("max_leaves must be at least 1")
     if r.sign() <= 0:
         raise ValueError("tile ratio must be positive")
-    _nodes, levels, _ = _expand(r, max_leaves, None)
+    # the join table is dropped before the keys are wrapped, which lowers
+    # the peak memory of a 9-tile enumeration by about a sixth
+    levels = _expand(r, max_leaves, None)[1]
     return {Quad(k, r.field): n for n, keys in enumerate(levels) for k in keys}
 
 

@@ -241,12 +241,19 @@ class TestVerifyCompleteConstruct:
     def test_construct_leaf_cap_exit_two(self, capsys):
         # Rejected before any search runs.
         code = run(["construct", "--y", "1", "--r", "1+1*sqrt", "--p", "2",
-                    "--max-leaves", "11"])
+                    "--max-leaves", "12"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
-        assert "--max-leaves must be at most 10" in captured.err
+        assert "--max-leaves must be at most 11" in captured.err
+
+    def test_construct_at_leaf_cap(self, capsys):
+        # The target is the tile itself, so the search ends before building.
+        code = run(["construct", "--y", "1+1*sqrt", "--r", "1+1*sqrt", "--p", "2",
+                    "--max-leaves", "11"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["leaves"] == 1
 
 
 class TestInvariantsCommands:

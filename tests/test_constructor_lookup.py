@@ -1,17 +1,19 @@
-"""The last-level lookup against the forward search it replaced.
+"""The residual lookups against the forward search they replaced.
 
 ``ref_expand`` is the earlier ``_expand``: it builds every level up to the
 leaf budget (stopping at the first level that holds the target's class) and
 keeps the first join that reaches each class.  ``construct_dissection`` now
-settles the last level by residual lookup instead of building it, and must
-return the same tree, or None, for every target and budget: at the minimal
-leaf count the first hit lies on the last level, where the tie-break between
-joins decides the tree.  ``reachable_ratios`` still builds every level but
-keeps no inverses for the last one, so it must return the same classes.
+builds levels only up to budget - 2 and settles the last two levels by
+residual lookup, the last one recursively, and must return the same tree, or
+None, for every target and budget: at the minimal leaf count the first hit
+lies on one of those levels, where the tie-break between joins decides the
+tree.  ``reachable_ratios`` still builds every level but keeps no inverses
+for the last one, so it must return the same classes.
 """
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -27,7 +29,8 @@ from quadrect import (
     reachable_ratios,
     tree_ratio,
 )
-from quadrect.constructor import _JOIN, _LEAF, _build_tree
+from quadrect import constructor
+from quadrect.constructor import _JOIN, _LEAF, _build_tree, _expand
 from quadrect.exactfield import int_sign, key_add, key_inv
 
 PS = [Fraction(2), Fraction(3), Fraction(5), Fraction(5, 2)]
@@ -183,3 +186,142 @@ def test_reachable_ratios_unchanged(p, budget):
     got = reachable_ratios(r, budget)
     assert got == ref_reachable(r, budget)
     assert reachable_ratios(field.one / r, budget) == got
+
+
+# r = 1 + sqrt(p) for these p, searched at every budget up to TOP
+SILVER_PS = [2, 3, 5]
+TOP = 9
+
+
+@cache
+def silver_table(p):
+    """r, the full forward build to TOP tiles, and each class's level.
+
+    The forward build records a class's node when it first reaches it and
+    never changes it, so a build to TOP tiles holds the reference tree of
+    every target reachable within TOP tiles, whatever the budget it was
+    searched with (``ref_construct`` stops at the first level holding the
+    target but records the same nodes up to there).
+    """
+    field = FieldParam(Fraction(p))
+    r = field.one + field.sqrt_p
+    nodes, levels, _ = ref_expand(r, TOP, None)
+    level_of = {k: n for n, keys in enumerate(levels) for k in keys}
+    return r, nodes, levels, level_of
+
+
+def targets(r, key):
+    """The class key's ratio and, unless it is 1, its inverse, each with
+    the orientation flag the search canonicalizes it to."""
+    y = Quad(key, r.field)
+    if key == (1, 0, 1):
+        return [(y, False)]
+    return [(y, False), (r.field.one / y, True)]
+
+
+def sample(rng, keys, count):
+    """The first and last class of a level plus ``count`` seeded others."""
+    if len(keys) <= count + 2:
+        return list(keys)
+    return [keys[0], keys[-1]] + rng.sample(keys[1:-1], count)
+
+
+@pytest.mark.parametrize("p", SILVER_PS)
+def test_first_hit_on_the_two_looked_up_levels(p):
+    r, nodes, levels, _ = silver_table(p)
+    rng = random.Random(f"top|{p}")
+    for budget in range(2, TOP + 1):
+        # budget - 1 is settled by a plain lookup, budget by a recursive one
+        for level in (budget - 1, budget):
+            for key in sample(rng, levels[level], 4):
+                for y, inv in targets(r, key):
+                    want = _build_tree(nodes, key, inv)
+                    assert construct_dissection(y, r, budget) == want, (p, budget, key)
+                    if level == budget:
+                        assert construct_dissection(y, r, budget - 1) is None
+
+
+@pytest.mark.parametrize("field, r", cases())
+def test_budgets_that_build_nothing_beyond_level_one(field, r):
+    _nodes, levels, _ = ref_expand(r, 4, None)
+    for keys in levels:
+        for key in keys:
+            for y, _inv in targets(r, key):
+                for budget in (1, 2, 3):
+                    assert construct_dissection(y, r, budget) == ref_construct(y, r, budget)
+                    _nodes, built, _ = _expand(r, budget, y)
+                    assert len(built) <= 2
+
+
+def level_one_residuals(rep, t, P, level_of, level):
+    """The distinct classes at ``level`` that the tile class rep, as a tile
+    or rotated, joins to t or 1/t."""
+    sums = [t] if t == (1, 0, 1) else [t, key_inv(t, P)]
+    found = set()
+    for a, b, d in (rep, key_inv(rep, P)):
+        for s in sums:
+            res = key_add(s, (-a, -b, d))
+            if int_sign(res[0], res[1], P) <= 0:
+                continue
+            c = res if _kge1(res, P) else key_inv(res, P)
+            if level_of.get(c) == level:
+                found.add(c)
+    return found
+
+
+@pytest.mark.parametrize("p", SILVER_PS)
+def test_rank_decides_between_two_unbuilt_residuals(p):
+    # At budget n, level n - 1 is not built; when a level-n target has two
+    # level-1 residuals on level n - 1, only their ranks order them.
+    r, nodes, levels, level_of = silver_table(p)
+    rng = random.Random(f"tie|{p}")
+    P = r.field.radicand
+    for n in range(3, TOP + 1):
+        ties = [t for t in levels[n]
+                if len(level_one_residuals(levels[1][0], t, P, level_of, n - 1)) >= 2]
+        assert ties, (p, n)
+        for key in sample(rng, ties, 6):
+            for y, inv in targets(r, key):
+                assert construct_dissection(y, r, n) == _build_tree(nodes, key, inv), (p, n, key)
+
+
+def certified_miss(field, r):
+    """A target the decision procedure proves untileable."""
+    rng = random.Random(f"certified|{field.p}")
+    while True:
+        y = field.quad(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        if y.sign() > 0 and not decide_rect_ratio(y, r).tileable:
+            return y
+
+
+@pytest.mark.parametrize("budget", range(1, TOP + 1))
+def test_miss_builds_no_level_beyond_budget_minus_two(budget):
+    field = FieldParam(2)
+    r = field.one + field.sqrt_p
+    y = certified_miss(field, r)
+    nodes, levels, (tkey, _) = _expand(r, budget, y)
+    assert tkey not in nodes
+    assert len(levels) - 1 == max(1, budget - 2)
+    assert len(nodes) == sum(map(len, levels))
+    assert set(nodes) == {k for keys in levels for k in keys}
+
+
+def test_nine_tile_miss_creates_no_level_eight_class(monkeypatch):
+    field = FieldParam(2)
+    r = field.one + field.sqrt_p
+    y = certified_miss(field, r)
+    calls = []
+    first_join = constructor._first_join
+
+    def spy(t, n, *rest):
+        found = first_join(t, n, *rest)
+        calls.append((n, found))
+        return found
+
+    monkeypatch.setattr(constructor, "_first_join", spy)
+    assert construct_dissection(y, r, 9) is None
+    # level 8 is only ever probed, for the level-1 residuals of level 9
+    assert sorted({n for n, _ in calls}) == [8, 9]
+    assert sum(n == 8 for n, _ in calls) > 1
+    assert all(found is None for _, found in calls)
