@@ -9,7 +9,6 @@ diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -25,8 +24,10 @@ from .exactfield import FieldParam, parse_quad, parse_rat
 from .geometry import InvalidDissectionError, Point, Rect, verify_tiling
 from .invariants import Basis, BasisVector, separation_certificate, z_area
 from .jsonio import (
+    certificate_to_json,
     completion_to_json,
     dissection_to_instance,
+    dumps,
     hole_decision_to_json,
     instance_to_json,
     load_instance,
@@ -45,7 +46,7 @@ MAX_CONSTRUCT_LEAVES = 11
 
 
 def _emit(doc: object) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    sys.stdout.write(dumps(doc))
 
 
 def _field_of(ns: argparse.Namespace) -> FieldParam:
@@ -107,11 +108,11 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
     dissection = realize_tree(tree, target, r)
     doc = instance_to_json(dissection_to_instance(dissection))
     doc["leaves"] = leaf_count(tree)
-    _emit(doc)
+    text = dumps(doc)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
+    sys.stdout.write(text)
     return 0
 
 
@@ -134,15 +135,7 @@ def _cmd_invariants_abc(ns: argparse.Namespace) -> int:
         parse_rat(ns.a), parse_rat(ns.b), parse_rat(ns.e), parse_rat(ns.f),
         parse_rat(ns.p),
     )
-    _emit(
-        {
-            "A": str(cert.params.A),
-            "B": str(cert.params.B),
-            "C": str(cert.params.C),
-            "discriminant_quarter": str(cert.discriminant_quarter),
-            "sign": cert.sign,
-        }
-    )
+    _emit(certificate_to_json(cert))
     return 0
 
 

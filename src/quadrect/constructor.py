@@ -279,15 +279,11 @@ def _build_tree(nodes: dict, key: Key, inv: bool) -> CompositionTree:
     return HJoin(_build_tree(nodes, lk, fl), _build_tree(nodes, rk, fr))
 
 
-def _check_search_inputs(y: Quad, r: Quad, max_leaves: int) -> None:
+def _check_search_inputs(r: Quad, max_leaves: int) -> None:
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
     if r.sign() <= 0:
         raise ValueError("tile ratio must be positive")
-    if y.sign() <= 0:
-        raise ValueError("target ratio must be positive")
-    if y.field != r.field:
-        raise ValueError("ratios must share one field parameter")
 
 
 def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTree | None:
@@ -297,7 +293,11 @@ def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTr
     None is not a proof of impossibility; the search is bounded and only
     explores guillotine cuts.
     """
-    _check_search_inputs(y, r, max_leaves)
+    _check_search_inputs(r, max_leaves)
+    if y.sign() <= 0:
+        raise ValueError("target ratio must be positive")
+    if y.field != r.field:
+        raise ValueError("ratios must share one field parameter")
     nodes, _levels, target_entry = _expand(r, max_leaves, y)
     if target_entry is None:
         raise ArithmeticError("level search returned no entry for the target ratio")
@@ -318,10 +318,7 @@ def ratio_class_rep(y: Quad) -> Quad:
 def reachable_ratios(r: Quad, max_leaves: int) -> dict[Quad, int]:
     """Every ratio class reachable from tiles of ratio r within the leaf
     budget, as canonical representative -> minimal leaf count."""
-    if max_leaves < 1:
-        raise ValueError("max_leaves must be at least 1")
-    if r.sign() <= 0:
-        raise ValueError("tile ratio must be positive")
+    _check_search_inputs(r, max_leaves)
     # the join table is dropped before the keys are wrapped, which lowers
     # the peak memory of a 9-tile enumeration by about a sixth
     levels = _expand(r, max_leaves, None)[1]

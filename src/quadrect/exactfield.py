@@ -36,9 +36,8 @@ __all__ = [
 
 Key = tuple[int, int, int]
 
-# Digits are ASCII only ([0-9], not the Unicode-wide \d), the set that the
-# fast path in ``_rat_parts`` accepts too.
-_RAT_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
+# Digits are ASCII only ([0-9], not the Unicode-wide \d), the set that
+# ``_rat_parts`` accepts too.
 _QUAD_RE = re.compile(
     r"^\s*([+-]?[0-9]+(?:/[0-9]+)?)"
     r"(?:\s*([+-])\s*([+-]?[0-9]+(?:/[0-9]+)?)\s*\*\s*sqrt)?\s*$"
@@ -56,32 +55,20 @@ def excerpt(text: str) -> str:
 
 
 def _rat_parts(text: object) -> tuple[int, int]:
-    """(numerator, denominator) of a rational literal.  Plain ASCII
-    ``[+-]digits[/digits]`` with a nonzero denominator is split without the
-    regex; anything else, and every error message, comes from
-    ``_rat_parts_re``."""
-    if isinstance(text, str):
-        s = text.strip()
-        num, slash, den = s.partition("/")
-        digits = num[1:] if num[:1] in ("+", "-") else num
-        if s.isascii() and digits.isdigit():
-            if not slash:
-                return int(num), 1
-            if den.isdigit() and (d := int(den)):
-                return int(num), d
-    return _rat_parts_re(text)
-
-
-def _rat_parts_re(text: object) -> tuple[int, int]:
+    """(numerator, denominator) of ``[+-]digits[/digits]`` (ASCII digits,
+    surrounding whitespace ignored).  The denominator is read and checked
+    for zero before the numerator is converted."""
     if not isinstance(text, str):
         raise ValueError(f"rational literal must be a string, got {excerpt(repr(text))}")
-    m = _RAT_RE.match(text.strip())
-    if m is None:
+    s = text.strip()
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not (s.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
         raise ValueError(f"malformed rational literal: {excerpt(repr(text))}")
-    den = int(m.group(2)) if m.group(2) is not None else 1
-    if den == 0:
+    d = int(den) if slash else 1
+    if d == 0:
         raise ValueError(f"zero denominator in rational literal: {excerpt(repr(text))}")
-    return int(m.group(1)), den
+    return int(num), d
 
 
 def parse_rat(text: str) -> Fraction:

@@ -12,6 +12,7 @@ re-check it with an exact point-in-region test on the loops' points.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -285,12 +286,15 @@ class CellGrid:
     """The coordinate grid induced by a region and a tile set.
 
     ``inside[j][i]`` tells whether cell (i, j), spanning ``xs[i]..xs[i+1]``
-    by ``ys[j]..ys[j+1]``, lies in the region interior.
+    by ``ys[j]..ys[j+1]``, lies in the region interior.  ``x_index`` and
+    ``y_index`` map each coordinate to its position in ``xs`` and ``ys``.
     """
 
     xs: tuple[Quad, ...]
     ys: tuple[Quad, ...]
     inside: tuple[tuple[bool, ...], ...]
+    x_index: dict[Quad, int] = dataclasses.field(compare=False, repr=False)
+    y_index: dict[Quad, int] = dataclasses.field(compare=False, repr=False)
 
     @property
     def nx(self) -> int:
@@ -314,17 +318,10 @@ class CellGrid:
             (self.ys[j] + self.ys[j + 1]) * _HALF,
         )
 
-    @cached_property
-    def _index(self) -> tuple[dict[Quad, int], dict[Quad, int]]:
-        return (
-            {x: i for i, x in enumerate(self.xs)},
-            {y: j for j, y in enumerate(self.ys)},
-        )
-
     def index_box(self, rect: Rect) -> tuple[int, int, int, int]:
         """Cell index range ``(i0, i1, j0, j1)`` of a rectangle whose corners
         lie on the grid: it covers cells ``i0 <= i < i1``, ``j0 <= j < j1``."""
-        xi, yi = self._index
+        xi, yi = self.x_index, self.y_index
         return xi[rect.x], xi[rect.x2], yi[rect.y], yi[rect.y2]
 
     def count_cover(self, rects: Iterable[Rect]) -> tuple[tuple[int, ...], ...]:
@@ -356,13 +353,13 @@ def _box_counts(
 
 def _merge_axis(
     base: tuple[Quad, ...], extra: set[Quad]
-) -> tuple[tuple[Quad, ...], list[int]]:
-    """The sorted union of a sorted axis and extra coordinates, plus the new
-    index of each old one."""
+) -> tuple[tuple[Quad, ...], dict[Quad, int], list[int]]:
+    """The sorted union of a sorted axis and extra coordinates, its
+    ``{coordinate: index}`` map, and the new index of each old one."""
     extra = extra.difference(base)
     merged = tuple(sorted((*base, *extra))) if extra else base
     index = {x: i for i, x in enumerate(merged)}
-    return merged, [index[x] for x in base]
+    return merged, index, [index[x] for x in base]
 
 
 def build_cell_grid(region: Polygon, tiles: Sequence[Rect]) -> CellGrid:
@@ -384,8 +381,8 @@ def build_cell_grid(region: Polygon, tiles: Sequence[Rect]) -> CellGrid:
         raise ValueError("tiles and region must share one field parameter")
     xs = {x for t in tiles for x in (t.x, t.x2)}
     ys = {y for t in tiles for y in (t.y, t.y2)}
-    sx, xmap = _merge_axis(region._xs, xs)  # type: ignore[attr-defined]
-    sy, ymap = _merge_axis(region._ys, ys)  # type: ignore[attr-defined]
+    sx, xi, xmap = _merge_axis(region._xs, xs)  # type: ignore[attr-defined]
+    sy, yi, ymap = _merge_axis(region._ys, ys)  # type: ignore[attr-defined]
     spans = (
         (0, xmap[k], ymap[lo], ymap[hi])
         for loop in region._index_loops  # type: ignore[attr-defined]
@@ -393,7 +390,7 @@ def build_cell_grid(region: Polygon, tiles: Sequence[Rect]) -> CellGrid:
     )
     crossings = _box_counts(spans, len(sx) - 1, len(sy) - 1)
     inside = tuple(tuple(c & 1 == 1 for c in row) for row in crossings)
-    return CellGrid(sx, sy, inside)
+    return CellGrid(sx, sy, inside, xi, yi)
 
 
 @dataclass(frozen=True)

@@ -202,26 +202,6 @@ def in_membership_set(y: Quad, r: Quad) -> bool:
     return f > 0 and abs(e) * b <= abs(a) * f
 
 
-def _separation_inputs(
-    a: Fraction, b: Fraction, e: Fraction, f: Fraction, p: Fraction
-) -> tuple[Fraction, Fraction, Fraction, Fraction, FieldParam]:
-    a, b, e, f = Fraction(a), Fraction(b), Fraction(e), Fraction(f)
-    field = FieldParam(Fraction(p))
-    if b == 0:
-        raise ValueError("separation needs an irrational target ratio (b != 0)")
-    r = field.quad(a, b)
-    y = field.quad(e, f)
-    if r.sign() <= 0:
-        raise ValueError("target ratio a + b*sqrt(p) must be positive")
-    if y.sign() <= 0:
-        raise ValueError("tile ratio e + f*sqrt(p) must be positive")
-    if in_membership_set(y, r):
-        raise ValueError(
-            "tile ratio passes the membership test; no separating parameters exist"
-        )
-    return a, b, e, f, field
-
-
 def separating_abc_params(
     a: Fraction | int,
     b: Fraction | int,
@@ -236,10 +216,7 @@ def separating_abc_params(
     Requires both ratios positive, b nonzero, and the tile ratio outside the
     membership set of the target ratio (otherwise no such parameters exist).
     """
-    a, b, e, f, field = _separation_inputs(
-        Fraction(a), Fraction(b), Fraction(e), Fraction(f), Fraction(p)
-    )
-    return ABCParams(f, -e, 2 * f * a * a / (b * b) - field.p * f)
+    return separation_certificate(a, b, e, f, p).params
 
 
 def separation_certificate(
@@ -249,15 +226,26 @@ def separation_certificate(
     f: Fraction | int,
     p: Fraction | int,
 ) -> SeparationCertificate:
-    """Quarter discriminant (a**2 - p*b**2)(e**2 - f**2*a**2/b**2), checked
-    negative, plus the common ABC-area sign of ratio-(a + b*sqrt(p))
-    rectangles, which is the sign of f*a - e*b."""
-    a, b, e, f, field = _separation_inputs(
-        Fraction(a), Fraction(b), Fraction(e), Fraction(f), Fraction(p)
-    )
-    params = ABCParams(f, -e, 2 * f * a * a / (b * b) - field.p * f)
-    p_val = field.p
-    disc4 = (a * a - p_val * b * b) * (e * e - f * f * a * a / (b * b))
+    """The parameters of ``separating_abc_params``, the quarter discriminant
+    (a**2 - p*b**2)(e**2 - f**2*a**2/b**2), checked negative, and the common
+    ABC-area sign of ratio-(a + b*sqrt(p)) rectangles, which is the sign of
+    f*a - e*b."""
+    a, b, e, f, p = Fraction(a), Fraction(b), Fraction(e), Fraction(f), Fraction(p)
+    field = FieldParam(p)
+    if b == 0:
+        raise ValueError("separation needs an irrational target ratio (b != 0)")
+    r = field.quad(a, b)
+    y = field.quad(e, f)
+    if r.sign() <= 0:
+        raise ValueError("target ratio a + b*sqrt(p) must be positive")
+    if y.sign() <= 0:
+        raise ValueError("tile ratio e + f*sqrt(p) must be positive")
+    if in_membership_set(y, r):
+        raise ValueError(
+            "tile ratio passes the membership test; no separating parameters exist"
+        )
+    params = ABCParams(f, -e, 2 * f * a * a / (b * b) - p * f)
+    disc4 = (a * a - p * b * b) * (e * e - f * f * a * a / (b * b))
     if disc4 >= 0:
         raise ArithmeticError("separation discriminant must be negative")
     lead = f * a - e * b

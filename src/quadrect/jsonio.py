@@ -34,12 +34,14 @@ from .invariants import SeparationCertificate
 
 __all__ = [
     "Instance",
+    "dumps",
     "quad_to_json",
     "quad_from_json",
     "instance_to_json",
     "instance_from_json",
     "load_instance",
     "save_instance",
+    "certificate_to_json",
     "verdict_to_json",
     "report_to_json",
     "completion_to_json",
@@ -155,22 +157,30 @@ def instance_from_json(doc: Any) -> Instance:
     return Instance(field, Polygon(loops), tiles)
 
 
+def dumps(doc: Any) -> str:
+    """The one output layout: two-space indent, sorted keys, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def load_instance(path: str | Path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("instance document is nested too deeply") from None
+    return instance_from_json(doc)
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_json(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps(instance_to_json(inst)))
 
 
 def dissection_to_instance(d: Dissection) -> Instance:
     return Instance(d.region.field, d.region, d.tiles)
 
 
-def _certificate_to_json(cert: SeparationCertificate) -> dict[str, Any]:
+def certificate_to_json(cert: SeparationCertificate) -> dict[str, Any]:
     return {
         "A": format_rat(cert.params.A),
         "B": format_rat(cert.params.B),
@@ -193,7 +203,7 @@ def verdict_to_json(v: Verdict) -> dict[str, Any]:
             }
         ),
         "certificate": (
-            None if v.certificate is None else _certificate_to_json(v.certificate)
+            None if v.certificate is None else certificate_to_json(v.certificate)
         ),
     }
 

@@ -4,7 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from quadrect import FieldParam, pinwheel_dissection
+from quadrect import (
+    FieldParam,
+    pinwheel_dissection,
+    separating_abc_params,
+    separation_certificate,
+)
 from quadrect.cli import run
 from quadrect.jsonio import (
     dissection_to_instance,
@@ -161,6 +166,22 @@ class TestDecideCommands:
         assert captured.out == ""
         assert captured.err == "error: malformed rational literal: '３'\n"
 
+    @pytest.mark.parametrize(
+        "command",
+        [["verify"], ["complete"], ["render", "--out", "x.svg"],
+         ["decide", "polygon", "--r", "3"]],
+    )
+    def test_deeply_nested_instance_exit_two(self, capsys, tmp_path, command):
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"p": "2", "region": ' + "[" * depth + "]" * depth + "}",
+                        encoding="utf-8")
+        argv = [str(tmp_path / a) if a == "x.svg" else a for a in command]
+        assert run([*argv, "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: instance document is nested too deeply\n"
+
     def test_polygon_via_instance(self, capsys, pinwheel_file):
         code = run(["decide", "polygon", "--instance", str(pinwheel_file),
                     "--r", "1+1*sqrt"])
@@ -228,9 +249,19 @@ class TestVerifyCompleteConstruct:
         code = run(["construct", "--y", "0+1*sqrt", "--r", "1+1*sqrt",
                     "--p", "2", "--out", str(out_path)])
         assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["leaves"] == 4
+        out = capsys.readouterr().out
+        assert out_path.read_bytes() == out.encode("utf-8")
+        assert json.loads(out)["leaves"] == 4
         assert run(["verify", "--instance", str(out_path)]) == 0
+
+    def test_construct_unwritable_out_prints_nothing(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "witness.json"
+        code = run(["construct", "--y", "0+1*sqrt", "--r", "1+1*sqrt",
+                    "--p", "2", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_construct_not_found_exit_one(self, capsys):
         code = run(["construct", "--y", "1", "--r", "1+1*sqrt", "--p", "2",
@@ -275,6 +306,31 @@ class TestInvariantsCommands:
             "discriminant_quarter": "-3",
             "sign": -1,
         }
+
+    @pytest.mark.parametrize(
+        "a, b, e, f, p",
+        [
+            ("1", "1", "2", "1", "2"),
+            ("0", "1", "1", "1", "2"),
+            ("3/2", "-1/3", "5", "-7/4", "5/2"),
+            ("-1", "2", "1", "3/5", "3"),
+            ("7", "2", "-1", "4", "7"),
+        ],
+    )
+    def test_abc_matches_decide_rect_certificate(self, capsys, a, b, e, f, p):
+        # One certificate, three ways in: the abc command, the certificate
+        # inside a negative rect decision, and the library's parameters.
+        code = run(["invariants", "abc", f"--a={a}", f"--b={b}", f"--e={e}",
+                    f"--f={f}", f"--p={p}"])
+        assert code == 0
+        abc_out = capsys.readouterr().out
+        code = run(["decide", "rect", "--y", f"{e} + {f}*sqrt",
+                    "--r", f"{a} + {b}*sqrt", "--p", p])
+        assert code == 1
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert abc_out == json.dumps(cert, indent=2, sort_keys=True) + "\n"
+        args = [Fraction(v) for v in (a, b, e, f, p)]
+        assert separating_abc_params(*args) == separation_certificate(*args).params
 
     def test_abc_rejects_member_ratio(self, capsys):
         code = run(["invariants", "abc", "--a", "1", "--b", "1", "--e", "1",
