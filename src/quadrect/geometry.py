@@ -475,13 +475,9 @@ def tiles_equal(dissection: Dissection) -> tuple[Quad, Quad] | None:
     return first
 
 
-def rect_ratio(rect: Rect, normalize: bool = False) -> Quad:
-    """width/height; with ``normalize`` the longer side goes on top, so the
-    result is the orientation-free similarity ratio (always >= 1)."""
-    w, h = rect.width, rect.height
-    if normalize and h > w:
-        w, h = h, w
-    return w / h
+def rect_ratio(rect: Rect) -> Quad:
+    """width/height of ``rect``."""
+    return rect.width / rect.height
 
 
 def square_with_hole_polygon(u: Quad, v: Quad) -> Polygon:

@@ -17,10 +17,17 @@ from .geometry import Dissection
 __all__ = ["quad_to_decimal", "render_svg"]
 
 
+# Most digits quad_to_decimal writes: its work grows with ``digits``, and
+# CPython refuses int-to-str beyond 4,300 digits.
+MAX_DIGITS = 1000
+
+
 def quad_to_decimal(x: Quad, digits: int) -> str:
     """Decimal string of a + b*sqrt(p), truncated after ``digits`` digits."""
     if digits < 1:
         raise ValueError("need at least one digit")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"at most {MAX_DIGITS} digits are supported")
     p = x.field.p
     scale = 10**digits
     root = Fraction(isqrt(p.numerator * p.denominator * scale * scale),

@@ -380,6 +380,19 @@ class TestRender:
         svg = (tmp_path / "w.svg").read_text()
         assert "sqrt" in svg  # exact coordinates embedded as data attributes
 
+    def test_precision_above_cap_exits_two_and_writes_nothing(
+        self, capsys, tmp_path, pinwheel_file
+    ):
+        out = tmp_path / "p.svg"
+        assert run(["render", "--instance", str(pinwheel_file), "--out", str(out),
+                    "--precision", "1001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at most 1000 digits" in captured.err
+        assert not out.exists()
+        with pytest.raises(ValueError, match="at least one digit"):
+            quad_to_decimal(F2.one, 0)
+
 
 class TestLayering:
     def test_decision_and_geometry_never_import_renderer(self):

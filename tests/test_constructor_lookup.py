@@ -1,6 +1,6 @@
 """The residual lookups against the forward search they replaced.
 
-``ref_expand`` is the earlier ``_expand``: it builds every level up to the
+``ref_expand`` is the earlier forward search: it builds every level up to the
 leaf budget (stopping at the first level that holds the target's class) and
 keeps the first join that reaches each class.  ``construct_dissection`` now
 builds levels only up to budget - 2 and settles the last two levels by
@@ -30,7 +30,7 @@ from quadrect import (
     tree_ratio,
 )
 from quadrect import constructor
-from quadrect.constructor import _JOIN, _LEAF, _build_tree, _expand
+from quadrect.constructor import _JOIN, _LEAF, _build_tree, _canon
 from quadrect.exactfield import int_sign, key_add, key_inv
 
 PS = [Fraction(2), Fraction(3), Fraction(5), Fraction(5, 2)]
@@ -241,16 +241,29 @@ def test_first_hit_on_the_two_looked_up_levels(p):
                         assert construct_dissection(y, r, budget - 1) is None
 
 
+def spy_builds(monkeypatch):
+    """The level built by each ``_build_level`` call, in call order."""
+    built = []
+    build_level = constructor._build_level
+
+    def spy(nodes, levels, inv_of, P):
+        build_level(nodes, levels, inv_of, P)
+        built.append(len(levels) - 1)
+
+    monkeypatch.setattr(constructor, "_build_level", spy)
+    return built
+
+
 @pytest.mark.parametrize("field, r", cases())
-def test_budgets_that_build_nothing_beyond_level_one(field, r):
+def test_budgets_that_build_nothing_beyond_level_one(field, r, monkeypatch):
     _nodes, levels, _ = ref_expand(r, 4, None)
+    built = spy_builds(monkeypatch)
     for keys in levels:
         for key in keys:
             for y, _inv in targets(r, key):
                 for budget in (1, 2, 3):
                     assert construct_dissection(y, r, budget) == ref_construct(y, r, budget)
-                    _nodes, built, _ = _expand(r, budget, y)
-                    assert len(built) <= 2
+    assert built == []
 
 
 def level_one_residuals(rep, t, P, level_of, level):
@@ -296,15 +309,41 @@ def certified_miss(field, r):
 
 
 @pytest.mark.parametrize("budget", range(1, TOP + 1))
-def test_miss_builds_no_level_beyond_budget_minus_two(budget):
+def test_miss_builds_no_level_beyond_budget_minus_two(budget, monkeypatch):
     field = FieldParam(2)
     r = field.one + field.sqrt_p
     y = certified_miss(field, r)
-    nodes, levels, (tkey, _) = _expand(r, budget, y)
-    assert tkey not in nodes
+    tables = []
+    tile_level = constructor._tile_level
+
+    def spy(r):
+        tables.append(tile_level(r))
+        return tables[-1]
+
+    monkeypatch.setattr(constructor, "_tile_level", spy)
+    built = spy_builds(monkeypatch)
+    assert construct_dissection(y, r, budget) is None
+    # max(0, budget - 3) builds, of levels 2 to budget - 2
+    assert built == list(range(2, budget - 1))
+    [(nodes, levels, _inv_of)] = tables
+    assert _canon(y.key, field.radicand)[0] not in nodes
     assert len(levels) - 1 == max(1, budget - 2)
     assert len(nodes) == sum(map(len, levels))
     assert set(nodes) == {k for keys in levels for k in keys}
+
+
+@pytest.mark.parametrize("level", range(1, TOP - 1))
+def test_hit_builds_up_to_its_level_and_stops(level, monkeypatch):
+    # budget TOP builds levels up to TOP - 2, so a class first reached at a
+    # level k <= TOP - 2 stops the search after the k - 1 builds that reach it
+    r, nodes, levels, _ = silver_table(2)
+    rng = random.Random(f"hit|{level}")
+    built = spy_builds(monkeypatch)
+    for key in sample(rng, levels[level], 2):
+        for y, inv in targets(r, key):
+            built.clear()
+            assert construct_dissection(y, r, TOP) == _build_tree(nodes, key, inv)
+            assert built == list(range(2, level + 1)), (level, key)
 
 
 def test_nine_tile_miss_creates_no_level_eight_class(monkeypatch):

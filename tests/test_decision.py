@@ -195,12 +195,12 @@ class TestPolygonDecision:
         # rectangles of different sizes: the dissection verifies, every tile
         # is similar to the target, yet the equal-tiles hypothesis fails and
         # the procedure must refuse rather than guess.
-        from quadrect import rect_ratio, tiles_equal
+        from quadrect import ratio_class_rep, rect_ratio, tiles_equal
         from quadrect.samples import similar_pair_hexagon
 
         hexagon = similar_pair_hexagon(F2)
         assert verify_tiling(hexagon).valid
-        assert {rect_ratio(t, normalize=True) for t in hexagon.tiles} == {SILVER}
+        assert {ratio_class_rep(rect_ratio(t)) for t in hexagon.tiles} == {SILVER}
         assert tiles_equal(hexagon) is None
         with pytest.raises(UnequalTilesError):
             decide_polygon(hexagon.region, hexagon, SILVER)

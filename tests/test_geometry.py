@@ -16,6 +16,7 @@ from quadrect import (
     build_cell_grid,
     pinwheel_dissection,
     polygon_area,
+    ratio_class_rep,
     rect_ratio,
     square_with_hole_polygon,
     tiles_equal,
@@ -285,7 +286,7 @@ class TestRectRatio:
     def test_normalize_flips_short_wide(self):
         r = rect_of(F2, 0, 0, 1, 2)
         assert rect_ratio(r) == F2.quad(Fraction(1, 2))
-        assert rect_ratio(r, normalize=True) == F2.quad(2)
+        assert ratio_class_rep(rect_ratio(r)) == F2.quad(2)
 
 
 class TestPointInRegion:
