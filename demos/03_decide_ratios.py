@@ -42,9 +42,9 @@ show("y outside the field, any r  ", decide_rect_ratio(NOT_IN_FIELD, silver))
 # 2 x 1 rectangles, so its deciding ratio is 2.
 pin = pinwheel_dissection(field.quad(3), field.quad(1))
 show("\nsquare-with-hole (u=3, v=1) vs r = 1+sqrt2",
-     decide_polygon(pin.region, pin, silver))
+     decide_polygon(pin, silver))
 show("square-with-hole (u=3, v=1) vs r = 3      ",
-     decide_polygon(pin.region, pin, field.quad(3)))
+     decide_polygon(pin, field.quad(3)))
 
 # Direct square-with-hole entry point, including an irrational inner side:
 res = decide_square_with_hole(field.one, field.quad(-1, 1), silver)

@@ -18,8 +18,8 @@ from quadrect import (
     Basis,
     BasisVector,
     FieldParam,
+    abc_area_polygon,
     abc_area_rect,
-    separating_abc_params,
     separation_certificate,
     z_area,
     z_area_additivity_check,
@@ -63,15 +63,13 @@ print("\nABC-area is additive over any guillotine dissection:")
 rng = random.Random(4)
 base = random_good_rect(rng, field)
 d = random_guillotine(rng, base, max_depth=5)
-total = Fraction(0)
-for t in d.tiles:
-    total += abc_area_rect(t, params)
+total = abc_area_polygon(d, params)  # verifies d first
 print(f"  parent {abc_area_rect(base, params)} == tile sum {total} "
       f"over {len(d.tiles)} tiles")
 
 print("\nseparating parameters for tiles of ratio 2+sqrt2 against r=1+sqrt2:")
-sep = separating_abc_params(1, 1, 2, 1, 2)
 cert = separation_certificate(1, 1, 2, 1, 2)
+sep = cert.params
 print(f"  A={sep.A} B={sep.B} C={sep.C}")
 print(f"  discriminant/4 = {cert.discriminant_quarter} (< 0), "
       f"sign on ratio-(1+sqrt2) rectangles: {cert.sign}")

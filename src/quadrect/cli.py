@@ -20,13 +20,12 @@ from .decision import (
     decide_rect_ratio,
     decide_square_with_hole,
 )
-from .exactfield import FieldParam, parse_quad, parse_rat
+from .exactfield import FieldParam, parse_quad
 from .geometry import InvalidDissectionError, Point, Rect, verify_tiling
 from .invariants import Basis, BasisVector, separation_certificate, z_area
 from .jsonio import (
     certificate_to_json,
     completion_to_json,
-    dissection_to_instance,
     dumps,
     hole_decision_to_json,
     instance_to_json,
@@ -49,12 +48,8 @@ def _emit(doc: object) -> None:
     sys.stdout.write(dumps(doc))
 
 
-def _field_of(ns: argparse.Namespace) -> FieldParam:
-    return FieldParam(parse_rat(ns.p))
-
-
 def _cmd_decide_rect(ns: argparse.Namespace) -> int:
-    field = _field_of(ns)
+    field = FieldParam(ns.p)
     verdict = decide_rect_ratio(parse_quad(ns.y, field), parse_quad(ns.r, field))
     _emit(verdict_to_json(verdict))
     return 0 if verdict.tileable else 1
@@ -62,15 +57,13 @@ def _cmd_decide_rect(ns: argparse.Namespace) -> int:
 
 def _cmd_decide_polygon(ns: argparse.Namespace) -> int:
     inst = load_instance(ns.instance)
-    verdict = decide_polygon(
-        inst.region, inst.dissection(), parse_quad(ns.r, inst.field)
-    )
+    verdict = decide_polygon(inst.dissection(), parse_quad(ns.r, inst.field))
     _emit(verdict_to_json(verdict))
     return 0 if verdict.tileable else 1
 
 
 def _cmd_decide_hole(ns: argparse.Namespace) -> int:
-    field = _field_of(ns)
+    field = FieldParam(ns.p)
     res = decide_square_with_hole(
         parse_quad(ns.u, field), parse_quad(ns.v, field), parse_quad(ns.r, field)
     )
@@ -93,7 +86,7 @@ def _cmd_complete(ns: argparse.Namespace) -> int:
 def _cmd_construct(ns: argparse.Namespace) -> int:
     if ns.max_leaves > MAX_CONSTRUCT_LEAVES:
         raise ValueError(f"--max-leaves must be at most {MAX_CONSTRUCT_LEAVES}")
-    field = _field_of(ns)
+    field = FieldParam(ns.p)
     y = parse_quad(ns.y, field)
     r = parse_quad(ns.r, field)
     tree = construct_dissection(y, r, ns.max_leaves)
@@ -106,7 +99,7 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
         return 1
     target = Rect(Point(field.zero, field.zero), y, field.one)
     dissection = realize_tree(tree, target, r)
-    doc = instance_to_json(dissection_to_instance(dissection))
+    doc = instance_to_json(dissection)
     doc["leaves"] = leaf_count(tree)
     text = dumps(doc)
     if ns.out:
@@ -117,7 +110,7 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
 
 
 def _cmd_invariants_zarea(ns: argparse.Namespace) -> int:
-    field = _field_of(ns)
+    field = FieldParam(ns.p)
     coords1 = [parse_quad(part, field) for part in ns.side1.split(";")]
     coords2 = [parse_quad(part, field) for part in ns.side2.split(";")]
     if len(coords1) != len(coords2):
@@ -131,10 +124,7 @@ def _cmd_invariants_zarea(ns: argparse.Namespace) -> int:
 
 
 def _cmd_invariants_abc(ns: argparse.Namespace) -> int:
-    cert = separation_certificate(
-        parse_rat(ns.a), parse_rat(ns.b), parse_rat(ns.e), parse_rat(ns.f),
-        parse_rat(ns.p),
-    )
+    cert = separation_certificate(ns.a, ns.b, ns.e, ns.f, ns.p)
     _emit(certificate_to_json(cert))
     return 0
 
@@ -242,3 +232,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactfield import Quad
-from .geometry import (
-    Dissection,
-    Polygon,
-    pinwheel_dissection,
-    require_valid_tiling,
-    tiles_equal,
-)
+from .geometry import Dissection, pinwheel_dissection, require_valid_tiling, tiles_equal
 from .invariants import SeparationCertificate, in_membership_set, separation_certificate
 
 __all__ = [
@@ -107,15 +101,15 @@ def decide_rect_ratio(y: Quad | NotInField, r: Quad) -> Verdict:
     return Verdict(member, case_tag, (e, f), certificate)
 
 
-def decide_polygon(region: Polygon, dissection: Dissection, r: Quad) -> Verdict:
+def decide_polygon(dissection: Dissection, r: Quad) -> Verdict:
     """Reduce the polygon case to the rectangle case.
 
-    The polygon must come with a verified dissection into equal rectangles;
-    their common ratio y then decides the question.  Polygons without such a
-    dissection are outside this procedure's reach, so an invalid or unequal
-    dissection raises instead of guessing.
+    The polygon is ``dissection.region``, presented with its dissection into
+    equal rectangles; their common ratio y then decides the question.
+    Polygons without such a dissection are outside this procedure's reach,
+    so an invalid or unequal dissection raises instead of guessing.
     """
-    require_valid_tiling(region, dissection)
+    require_valid_tiling(dissection)
     dims = tiles_equal(dissection)
     if dims is None:
         raise UnequalTilesError("dissection tiles are not all congruent")

@@ -76,6 +76,19 @@ def parse_rat(text: str) -> Fraction:
     return Fraction(*_rat_parts(text))
 
 
+def _to_rat(x: int | str | Fraction) -> Fraction:
+    """A rational from the Python API: an ``int`` or ``Fraction`` as it is, a
+    ``str`` through ``parse_rat``.  Anything else is refused, so a float's
+    binary rounding or ``Fraction``'s wider string grammar never gets in."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        return parse_rat(x)
+    raise ValueError(f"rational must be an int, Fraction or str, got {excerpt(repr(x))}")
+
+
 def format_rat(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
@@ -154,7 +167,7 @@ class FieldParam:
     pd: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        p = self.p if isinstance(self.p, Fraction) else Fraction(self.p)
+        p = _to_rat(self.p)
         object.__setattr__(self, "p", p)
         if p <= 0:
             raise ValueError(f"field parameter must be positive, got {excerpt(str(p))}")
@@ -164,7 +177,7 @@ class FieldParam:
         object.__setattr__(self, "pd", p.denominator)
 
     def quad(self, a: int | str | Fraction, b: int | str | Fraction = 0) -> Quad:
-        a, b = Fraction(a), Fraction(b)
+        a, b = _to_rat(a), _to_rat(b)
         key = _pair_key(a.numerator, a.denominator, b.numerator, b.denominator, self.pd)
         return Quad(key, self)
 

@@ -191,9 +191,8 @@ class Polygon:
                 raise ValueError("degenerate loop (fewer than 4 vertices)")
             horiz = []
             for p, q in _cycle_pairs(loop):
-                if (p.field is not field and p.field != field) or (
-                    q.field is not field and q.field != field
-                ):
+                # Every vertex starts exactly one edge, so checking p covers all.
+                if p.field is not field and p.field != field:
                     raise ValueError("polygon coordinates must share one field parameter")
                 # Keys are canonical, so equal keys mean equal coordinates.
                 dx_zero = q.x.key == p.x.key
@@ -446,11 +445,9 @@ def verify_tiling(dissection: Dissection) -> VerifyReport:
     return VerifyReport(valid, grid, cover, tuple(issues))
 
 
-def require_valid_tiling(region: Polygon, dissection: Dissection) -> None:
-    """Raise ``InvalidDissectionError`` unless the dissection is over this
-    region and passes ``verify_tiling``; the message names the first issue."""
-    if dissection.region != region:
-        raise InvalidDissectionError("dissection is not over the given polygon")
+def require_valid_tiling(dissection: Dissection) -> None:
+    """Raise ``InvalidDissectionError`` unless the dissection passes
+    ``verify_tiling``; the message names the first issue."""
     report = verify_tiling(dissection)
     if not report.valid:
         first = report.issues[0]

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactfield import FieldParam, Quad, format_quad
-from .geometry import Dissection, Polygon, Rect, require_valid_tiling
+from .exactfield import FieldParam, Quad, _to_rat, format_quad
+from .geometry import Dissection, Rect, require_valid_tiling
 
 __all__ = [
     "Basis",
@@ -31,7 +31,6 @@ __all__ = [
     "abc_area_rect",
     "abc_area_polygon",
     "in_membership_set",
-    "separating_abc_params",
     "separation_certificate",
 ]
 
@@ -150,9 +149,7 @@ class ABCParams:
 
     def __post_init__(self) -> None:
         for name in ("A", "B", "C"):
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
+            object.__setattr__(self, name, _to_rat(getattr(self, name)))
 
 
 def abc_area_rect(rect: Rect, params: ABCParams) -> Fraction:
@@ -164,13 +161,13 @@ def abc_area_rect(rect: Rect, params: ABCParams) -> Fraction:
     return al * ga * params.A + (al * de + be * ga) * params.B + be * de * params.C
 
 
-def abc_area_polygon(region: Polygon, dissection: Dissection, params: ABCParams) -> Fraction:
-    """Sum of tile ABC-areas over a verified dissection of the region.
+def abc_area_polygon(dissection: Dissection, params: ABCParams) -> Fraction:
+    """Sum of tile ABC-areas over a verified dissection of its region.
 
-    The value does not depend on which dissection is supplied; tests exercise
-    that independence explicitly.
+    The value does not depend on which dissection of the region is supplied;
+    tests exercise that independence explicitly.
     """
-    require_valid_tiling(region, dissection)
+    require_valid_tiling(dissection)
     total = Fraction(0)
     for t in dissection.tiles:
         total += abc_area_rect(t, params)
@@ -202,35 +199,24 @@ def in_membership_set(y: Quad, r: Quad) -> bool:
     return f > 0 and abs(e) * b <= abs(a) * f
 
 
-def separating_abc_params(
-    a: Fraction | int,
-    b: Fraction | int,
-    e: Fraction | int,
-    f: Fraction | int,
-    p: Fraction | int,
-) -> ABCParams:
-    """ABC parameters (f, -e, 2*f*a**2/b**2 - p*f) that zero the tile
+def separation_certificate(
+    a: Fraction | int | str,
+    b: Fraction | int | str,
+    e: Fraction | int | str,
+    f: Fraction | int | str,
+    p: Fraction | int | str,
+) -> SeparationCertificate:
+    """The ABC parameters (f, -e, 2*f*a**2/b**2 - p*f), which zero the tile
     rectangle (e + f*sqrt(p)) x 1 while staying sign-definite on every
-    rectangle of ratio a + b*sqrt(p).
+    rectangle of ratio a + b*sqrt(p); the quarter discriminant
+    (a**2 - p*b**2)(e**2 - f**2*a**2/b**2), checked negative; and the common
+    ABC-area sign of ratio-(a + b*sqrt(p)) rectangles, which is the sign of
+    f*a - e*b.
 
     Requires both ratios positive, b nonzero, and the tile ratio outside the
     membership set of the target ratio (otherwise no such parameters exist).
     """
-    return separation_certificate(a, b, e, f, p).params
-
-
-def separation_certificate(
-    a: Fraction | int,
-    b: Fraction | int,
-    e: Fraction | int,
-    f: Fraction | int,
-    p: Fraction | int,
-) -> SeparationCertificate:
-    """The parameters of ``separating_abc_params``, the quarter discriminant
-    (a**2 - p*b**2)(e**2 - f**2*a**2/b**2), checked negative, and the common
-    ABC-area sign of ratio-(a + b*sqrt(p)) rectangles, which is the sign of
-    f*a - e*b."""
-    a, b, e, f, p = Fraction(a), Fraction(b), Fraction(e), Fraction(f), Fraction(p)
+    a, b, e, f, p = _to_rat(a), _to_rat(b), _to_rat(e), _to_rat(f), _to_rat(p)
     field = FieldParam(p)
     if b == 0:
         raise ValueError("separation needs an irrational target ratio (b != 0)")

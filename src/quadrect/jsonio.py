@@ -46,15 +46,17 @@ __all__ = [
     "report_to_json",
     "completion_to_json",
     "hole_decision_to_json",
-    "dissection_to_instance",
 ]
 
 
 @dataclass(frozen=True)
 class Instance:
-    field: FieldParam
     region: Polygon
     tiles: tuple[Rect, ...]
+
+    @property
+    def field(self) -> FieldParam:
+        return self.region.field
 
     def dissection(self) -> Dissection:
         return Dissection(self.region, self.tiles)
@@ -126,9 +128,10 @@ def _list_of(obj: Any, what: str) -> list:
     return obj
 
 
-def instance_to_json(inst: Instance) -> dict[str, Any]:
+def instance_to_json(inst: Dissection | Instance) -> dict[str, Any]:
+    """The document of a region and its tiles; ``"p"`` is the region's field."""
     return {
-        "p": format_rat(inst.field.p),
+        "p": format_rat(inst.region.field.p),
         "region": {
             "loops": [
                 [[quad_to_json(pt.x), quad_to_json(pt.y)] for pt in loop]
@@ -154,7 +157,7 @@ def instance_from_json(doc: Any) -> Instance:
     tiles = tuple(
         _rect_from_json(t, read) for t in _list_of(doc.get("tiles", []), "tiles")
     )
-    return Instance(field, Polygon(loops), tiles)
+    return Instance(Polygon(loops), tiles)
 
 
 def dumps(doc: Any) -> str:
@@ -171,13 +174,9 @@ def load_instance(path: str | Path) -> Instance:
     return instance_from_json(doc)
 
 
-def save_instance(inst: Instance, path: str | Path) -> None:
+def save_instance(inst: Dissection | Instance, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(instance_to_json(inst)))
-
-
-def dissection_to_instance(d: Dissection) -> Instance:
-    return Instance(d.region.field, d.region, d.tiles)
 
 
 def certificate_to_json(cert: SeparationCertificate) -> dict[str, Any]:
@@ -211,7 +210,7 @@ def verdict_to_json(v: Verdict) -> dict[str, Any]:
 def hole_decision_to_json(res: SquareWithHoleDecision) -> dict[str, Any]:
     out = verdict_to_json(res.verdict)
     out["ratio"] = quad_to_json(res.ratio)
-    out["pinwheel"] = instance_to_json(dissection_to_instance(res.pinwheel))
+    out["pinwheel"] = instance_to_json(res.pinwheel)
     return out
 
 

@@ -34,7 +34,6 @@ from quadrect import (
     reachable_ratios,
     realize_tree,
     rect_ratio,
-    separating_abc_params,
     separation_certificate,
     tree_ratio,
     verify_complement,
@@ -106,7 +105,7 @@ def test_criterion_02_separating_params_zero_the_tile():
     done = _stopwatch(1.0)
     rng = random.Random(2024_02)
     for a, b, e, f, p, field in _separation_inputs(rng, 200):
-        params = separating_abc_params(a, b, e, f, p)
+        params = separation_certificate(a, b, e, f, p).params
         assert params == ABCParams(f, -e, 2 * f * a * a / (b * b) - p * f)
         tile = Rect(Point(field.zero, field.zero), field.quad(e, f), field.one)
         assert abc_area_rect(tile, params) == 0
@@ -121,7 +120,7 @@ def test_criterion_03_constant_sign_on_target_ratio_rectangles():
     done = _stopwatch(5.0)
     rng = random.Random(2024_03)
     for a, b, e, f, p, field in _separation_inputs(rng, 200):
-        params = separating_abc_params(a, b, e, f, p)
+        params = separation_certificate(a, b, e, f, p).params
         expected_sign = 1 if f * a - e * b > 0 else -1
         r = field.quad(a, b)
         for _ in range(100):
@@ -164,8 +163,8 @@ def test_criterion_05_polygon_abc_area_independent_of_dissection():
         d1 = random_guillotine(rng, base, max_depth=4)
         d2 = random_guillotine(rng, base, max_depth=4)
         region = base.to_polygon()
-        v1 = abc_area_polygon(region, Dissection(region, d1.tiles), params)
-        v2 = abc_area_polygon(region, Dissection(region, d2.tiles), params)
+        v1 = abc_area_polygon(Dissection(region, d1.tiles), params)
+        v2 = abc_area_polygon(Dissection(region, d2.tiles), params)
         assert v1 == v2
     done("criterion 5 (dissection independence over 100 rectangles)")
 

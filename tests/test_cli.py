@@ -1,18 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from quadrect import (
-    FieldParam,
-    pinwheel_dissection,
-    separating_abc_params,
-    separation_certificate,
-)
+from quadrect import FieldParam, format_rat, pinwheel_dissection
 from quadrect.cli import run
 from quadrect.jsonio import (
-    dissection_to_instance,
+    Instance,
+    dumps,
     instance_from_json,
     instance_to_json,
     load_instance,
@@ -27,9 +26,8 @@ DROP = object()  # marks a key to delete from a document
 
 @pytest.fixture
 def pinwheel_file(tmp_path: Path) -> Path:
-    inst = dissection_to_instance(pinwheel_dissection(F2.quad(3), F2.quad(1)))
     path = tmp_path / "pinwheel.json"
-    save_instance(inst, path)
+    save_instance(pinwheel_dissection(F2.quad(3), F2.quad(1)), path)
     return path
 
 
@@ -56,6 +54,20 @@ class TestJsonRoundTrip:
     def test_missing_p_rejected(self):
         with pytest.raises(ValueError):
             instance_from_json({"region": {"loops": []}})
+
+    @pytest.mark.parametrize("p", [2, 3, Fraction(5, 2)])
+    def test_dissection_round_trip_keeps_its_field(self, p):
+        field = FieldParam(p)
+        d = pinwheel_dissection(field.quad(3, 1), field.one)
+        doc = instance_to_json(d)
+        again = instance_from_json(doc)
+        assert again.dissection() == d
+        assert doc["p"] == instance_to_json(again)["p"] == format_rat(field.p)
+        assert dumps(instance_to_json(again)) == dumps(doc)
+
+    def test_instance_field_is_its_region_field(self):
+        d = pinwheel_dissection(FieldParam(3).quad(3, 1), FieldParam(3).one)
+        assert Instance(d.region, d.tiles).field is d.region.field
 
 
 class TestDecideCommands:
@@ -103,9 +115,7 @@ class TestDecideCommands:
     )
     @pytest.mark.parametrize("command", [["verify"], ["decide", "polygon", "--r", "3"]])
     def test_malformed_json_scalar_exit_two(self, capsys, tmp_path, where, value, command):
-        doc = instance_to_json(
-            dissection_to_instance(pinwheel_dissection(F2.quad(3), F2.quad(1)))
-        )
+        doc = instance_to_json(pinwheel_dissection(F2.quad(3), F2.quad(1)))
         parent = doc
         for step in where[:-1]:
             parent = parent[step]
@@ -155,9 +165,7 @@ class TestDecideCommands:
 
     @pytest.mark.parametrize("command", [["verify"], ["decide", "polygon", "--r", "3"]])
     def test_non_ascii_tile_scalar_exit_two(self, capsys, tmp_path, command):
-        doc = instance_to_json(
-            dissection_to_instance(pinwheel_dissection(F2.quad(3), F2.quad(1)))
-        )
+        doc = instance_to_json(pinwheel_dissection(F2.quad(3), F2.quad(1)))
         doc["tiles"][0]["w"] = {"a": "３", "b": "0"}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -212,8 +220,7 @@ class TestVerifyCompleteConstruct:
         assert out["cells"] == {"nx": 3, "ny": 3, "inside": 8}
 
     def test_verify_invalid_instance(self, capsys, tmp_path):
-        inst = dissection_to_instance(pinwheel_dissection(F2.quad(3), F2.quad(1)))
-        doc = instance_to_json(inst)
+        doc = instance_to_json(pinwheel_dissection(F2.quad(3), F2.quad(1)))
         doc["tiles"] = doc["tiles"][:3]
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
@@ -318,8 +325,8 @@ class TestInvariantsCommands:
         ],
     )
     def test_abc_matches_decide_rect_certificate(self, capsys, a, b, e, f, p):
-        # One certificate, three ways in: the abc command, the certificate
-        # inside a negative rect decision, and the library's parameters.
+        # One certificate, two ways in: the abc command and the certificate
+        # inside a negative rect decision.
         code = run(["invariants", "abc", f"--a={a}", f"--b={b}", f"--e={e}",
                     f"--f={f}", f"--p={p}"])
         assert code == 0
@@ -329,8 +336,6 @@ class TestInvariantsCommands:
         assert code == 1
         cert = json.loads(capsys.readouterr().out)["certificate"]
         assert abc_out == json.dumps(cert, indent=2, sort_keys=True) + "\n"
-        args = [Fraction(v) for v in (a, b, e, f, p)]
-        assert separating_abc_params(*args) == separation_certificate(*args).params
 
     def test_abc_rejects_member_ratio(self, capsys):
         code = run(["invariants", "abc", "--a", "1", "--b", "1", "--e", "1",
@@ -405,3 +410,32 @@ class TestLayering:
             source = Path(module.__file__).read_text()
             assert "render" not in source
             assert "svg" not in source.lower()
+
+
+class TestModuleEntryPoint:
+    """``python -m quadrect.cli`` behaves like the installed console script."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def _module(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "quadrect.cli", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_negative_verdict_exits_one_with_run_output(self, capsys):
+        args = ["decide", "rect", "--y", "2+1*sqrt", "--r", "1+1*sqrt", "--p", "2"]
+        assert run(args) == 1
+        expected = capsys.readouterr().out
+        done = self._module(*args)
+        assert done.returncode == 1
+        assert done.stdout == expected != ""
+
+    def test_precision_above_cap_exits_two(self, tmp_path, pinwheel_file):
+        out = tmp_path / "p.svg"
+        done = self._module("render", "--instance", str(pinwheel_file),
+                            "--out", str(out), "--precision", "1001")
+        assert done.returncode == 2
+        assert "at most 1000 digits" in done.stderr
+        assert not out.exists()

@@ -152,24 +152,24 @@ class TestDecisionProperties:
 class TestPolygonDecision:
     def test_pinwheel_not_tileable_by_silver(self):
         pin = pinwheel_dissection(F2.quad(3), F2.quad(1))
-        v = decide_polygon(pin.region, pin, SILVER)
+        v = decide_polygon(pin, SILVER)
         assert not v.tileable
         assert v.witness_params == (Fraction(2), Fraction(0))
 
     def test_pinwheel_tileable_by_rational(self):
         pin = pinwheel_dissection(F2.quad(3), F2.quad(1))
-        assert decide_polygon(pin.region, pin, F2.quad(3)).tileable
+        assert decide_polygon(pin, F2.quad(3)).tileable
 
     def test_region_tiled_by_its_own_ratio(self):
         region = rect_of(F2, 0, 0, 2, 1).to_polygon()
         d = Dissection(region, (rect_of(F2, 0, 0, 2, 1),))
-        assert decide_polygon(region, d, F2.quad(2)).tileable
+        assert decide_polygon(d, F2.quad(2)).tileable
 
     def test_invalid_dissection_rejected(self):
         region = rect_of(F2, 0, 0, 2, 1).to_polygon()
         bad = Dissection(region, (rect_of(F2, 0, 0, 1, 1),))
         with pytest.raises(InvalidDissectionError):
-            decide_polygon(region, bad, SILVER)
+            decide_polygon(bad, SILVER)
 
     def test_unequal_tiles_rejected(self):
         region = rect_of(F2, 0, 0, 2, 1).to_polygon()
@@ -181,14 +181,7 @@ class TestPolygonDecision:
             ),
         )
         with pytest.raises(UnequalTilesError):
-            decide_polygon(region, d, SILVER)
-
-    def test_mismatched_region_rejected(self):
-        region = rect_of(F2, 0, 0, 2, 1).to_polygon()
-        other = rect_of(F2, 0, 0, 1, 1).to_polygon()
-        d = Dissection(region, (rect_of(F2, 0, 0, 2, 1),))
-        with pytest.raises(InvalidDissectionError):
-            decide_polygon(other, d, SILVER)
+            decide_polygon(d, SILVER)
 
     def test_similar_but_unequal_pair_is_out_of_scope(self):
         # An L-shaped hexagon dissected into two similar ratio-(1+sqrt2)
@@ -203,7 +196,7 @@ class TestPolygonDecision:
         assert {ratio_class_rep(rect_ratio(t)) for t in hexagon.tiles} == {SILVER}
         assert tiles_equal(hexagon) is None
         with pytest.raises(UnequalTilesError):
-            decide_polygon(hexagon.region, hexagon, SILVER)
+            decide_polygon(hexagon, SILVER)
 
 
 class TestSquareWithHole:

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadrect import (
+    ABCParams,
     FieldParam,
     Quad,
     format_quad,
     format_rat,
     parse_quad,
     parse_rat,
+    separation_certificate,
 )
 from quadrect.exactfield import _rat_parts, excerpt
 
@@ -37,6 +39,45 @@ class TestFieldParam:
     def test_rejects_nonpositive(self, p):
         with pytest.raises(ValueError):
             FieldParam(p)
+
+
+class TestRationalInputs:
+    """``FieldParam``, ``FieldParam.quad``, ``ABCParams`` and
+    ``separation_certificate`` take an int, a Fraction or a ``parse_rat``
+    literal, and nothing else."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: F2.quad(0.1), "must be an int, Fraction or str"),
+            (lambda: F2.quad(1, 0.5), "must be an int, Fraction or str"),
+            (lambda: FieldParam(0.1), "must be an int, Fraction or str"),
+            (lambda: F2.quad("1.5"), "malformed rational literal"),
+            (lambda: F2.quad("1e3"), "malformed rational literal"),
+            (lambda: FieldParam("\u0663"), "malformed rational literal"),
+            (lambda: FieldParam("2/0"), "zero denominator"),
+            (lambda: ABCParams(0.5, 0, 0), "must be an int, Fraction or str"),
+            (lambda: separation_certificate(1, 1, 2.0, 1, 2),
+             "must be an int, Fraction or str"),
+        ],
+        ids=["quad_float", "quad_float_b", "field_float", "quad_decimal_str",
+             "quad_exponent_str", "field_arabic_indic_digit", "field_zero_den",
+             "abc_float", "certificate_float"],
+    )
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_ints_fractions_and_literals_agree(self):
+        assert F2.quad("7/3") == F2.quad(Fraction(7, 3))
+        assert F2.quad(2, "-1/3") == F2.quad(2, Fraction(-1, 3))
+        assert FieldParam("5/2") == FieldParam(Fraction(5, 2))
+        params = ABCParams(1, "1/2", Fraction(3))
+        assert (params.A, params.B, params.C) == (1, Fraction(1, 2), 3)
+        assert all(type(v) is Fraction for v in (params.A, params.B, params.C))
+        assert separation_certificate("1", 1, "2", Fraction(1), "2") == (
+            separation_certificate(1, 1, 2, 1, 2)
+        )
 
 
 class TestSign:

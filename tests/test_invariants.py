@@ -14,7 +14,6 @@ from quadrect import (
     Rect,
     abc_area_polygon,
     abc_area_rect,
-    separating_abc_params,
     separation_certificate,
     verify_tiling,
     z_area,
@@ -144,14 +143,14 @@ class TestAbcPolygon:
         region = rect_of(F2, 0, 0, 1, 1).to_polygon()
         d = verify_and_wrap(region, (rect_of(F2, 0, 0, 1, 1),))
         params = ABCParams(Fraction(1), Fraction(0), Fraction(0))
-        assert abc_area_polygon(region, d, params) == 1
+        assert abc_area_polygon(d, params) == 1
 
     def test_pinwheel_sums_tile_contributions(self):
         from quadrect import pinwheel_dissection
 
         pin = pinwheel_dissection(F2.quad(3), F2.quad(1))
         params = ABCParams(Fraction(1), Fraction(0), Fraction(0))
-        assert abc_area_polygon(pin.region, pin, params) == 8
+        assert abc_area_polygon(pin, params) == 8
 
     def test_invalid_dissection_raises(self):
         region = rect_of(F2, 0, 0, 1, 1).to_polygon()
@@ -159,7 +158,7 @@ class TestAbcPolygon:
 
         bad = Dissection(region, (rect_of(F2, 0, 0, 1, Fraction(1, 2)),))
         with pytest.raises(InvalidDissectionError):
-            abc_area_polygon(region, bad, ABCParams(1, 0, 0))
+            abc_area_polygon(bad, ABCParams(1, 0, 0))
 
     def test_independent_dissections_agree(self):
         rng = random.Random(77)
@@ -168,8 +167,8 @@ class TestAbcPolygon:
             base = random_good_rect(rng, F2)
             d1 = random_guillotine(rng, base, max_depth=4)
             d2 = random_guillotine(rng, base, max_depth=4)
-            v1 = abc_area_polygon(base.to_polygon(), d1, params)
-            v2 = abc_area_polygon(base.to_polygon(), d2, params)
+            v1 = abc_area_polygon(d1, params)
+            v2 = abc_area_polygon(d2, params)
             assert v1 == v2
 
     def test_additivity_parent_equals_tile_sum(self):
@@ -220,10 +219,10 @@ def _separation_cases(rng, count):
 
 class TestSeparation:
     def test_params_formula(self):
-        assert separating_abc_params(1, 1, 2, 1, 2) == ABCParams(
+        assert separation_certificate(1, 1, 2, 1, 2).params == ABCParams(
             Fraction(1), Fraction(-2), Fraction(0)
         )
-        assert separating_abc_params(1, 1, 3, 1, 2) == ABCParams(
+        assert separation_certificate(1, 1, 3, 1, 2).params == ABCParams(
             Fraction(1), Fraction(-3), Fraction(0)
         )
 
@@ -239,18 +238,18 @@ class TestSeparation:
 
     def test_b_zero_rejected(self):
         with pytest.raises(ValueError):
-            separating_abc_params(2, 0, 1, 1, 2)
+            separation_certificate(2, 0, 1, 1, 2)
 
     def test_member_ratio_rejected(self):
         # y = r passes its own membership test, so no separation exists.
         with pytest.raises(ValueError):
-            separating_abc_params(1, 1, 1, 1, 2)
+            separation_certificate(1, 1, 1, 1, 2)
 
     def test_tile_rectangle_abc_area_always_zero(self):
         rng = random.Random(500)
         for a, b, e, f, p in _separation_cases(rng, 100):
             field = FieldParam(p)
-            params = separating_abc_params(a, b, e, f, p)
+            params = separation_certificate(a, b, e, f, p).params
             tile = Rect(
                 Point(field.zero, field.zero), field.quad(e, f), field.one
             )
@@ -260,7 +259,7 @@ class TestSeparation:
         rng = random.Random(501)
         for a, b, e, f, p in _separation_cases(rng, 40):
             field = FieldParam(p)
-            params = separating_abc_params(a, b, e, f, p)
+            params = separation_certificate(a, b, e, f, p).params
             s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             tile = Rect(
                 Point(field.zero, field.zero),
@@ -276,8 +275,8 @@ class TestSeparation:
         rng = random.Random(502)
         for a, b, e, f, p in _separation_cases(rng, 40):
             field = FieldParam(p)
-            params = separating_abc_params(a, b, e, f, p)
             cert = separation_certificate(a, b, e, f, p)
+            params = cert.params
             r = field.quad(a, b)
             for _ in range(20):
                 s = random_positive_quad(rng, field)

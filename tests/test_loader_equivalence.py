@@ -27,7 +27,6 @@ from quadrect.cli import run
 from quadrect.jsonio import (
     Instance,
     completion_to_json,
-    dissection_to_instance,
     instance_from_json,
     instance_to_json,
     quad_from_json,
@@ -72,7 +71,7 @@ def reference_instance_from_json(doc):
         for loop in as_list(region_doc["loops"], "region.loops")
     )
     tiles = tuple(rect(t) for t in as_list(doc.get("tiles", []), "tiles"))
-    return Instance(field, Polygon(loops), tiles)
+    return Instance(Polygon(loops), tiles)
 
 
 def _outcome(loader, doc):
@@ -96,12 +95,12 @@ def _corpus():
         d = random_guillotine(rng, rect_of(field, 0, 0, 3 + k % 4, 2), max_depth=5)
         if k % 4 == 3 and len(d.tiles) > 1:
             d = Dissection(d.region, d.tiles[1:])
-        docs.append(instance_to_json(dissection_to_instance(d)))
+        docs.append(instance_to_json(d))
     for steps in (3, 7, 12, 20):
-        docs.append(instance_to_json(dissection_to_instance(staircase(rng, steps))))
+        docs.append(instance_to_json(staircase(rng, steps)))
     for k in range(8):
         region = random_rectilinear_polygon(rng, FIELDS[k % 3], force_hole=True)
-        docs.append(instance_to_json(Instance(region.field, region, ())))
+        docs.append(instance_to_json(Instance(region, ())))
     return docs
 
 
