@@ -20,6 +20,16 @@ is only a miss: the search is depth-bounded and guillotine-only, so NotFound
 (None) never proves impossibility; the decision procedure is the authority
 on that.
 
+Levels up to ``CACHED_LEVELS`` (7) tiles depend only on the tile class, so
+the tables of the ``CACHED_CLASSES`` (4) classes used last are kept for the
+whole process.  They grow under a lock, one level at a time and only as far
+as a call needs, so a cold search builds what it would without them and a
+warm one builds nothing up to 7 tiles.  Deeper levels (budgets above 9,
+enumerations above 7 tiles) are built in a private copy.  A search keeps
+its own records apart: its leaf, since r and 1/r share a class but not a
+leaf orientation, and the nodes it settles by lookup, which a later build
+of their level must not find.
+
 The search runs on the bare canonical keys (A, B, D) that ``Quad`` stores
 (see ``exactfield``), through the same key functions, so the hot loop is
 plain integer gcd arithmetic with no object per candidate; results are
@@ -31,8 +41,10 @@ leaf orientations flipped) realizes the inverse ratio.
 
 from __future__ import annotations
 
+import threading
+from collections import ChainMap, OrderedDict
 from dataclasses import dataclass
-from typing import Union
+from typing import Mapping, Union
 
 from .exactfield import Key, Quad, int_sign, key_add, key_inv
 from .geometry import Dissection, Point, Rect, rect_ratio
@@ -117,14 +129,30 @@ def _canon(key: Key, P: int) -> tuple[Key, bool]:
     return key_inv(key, P), True
 
 
-_LEAF = "leaf"
-_JOIN = "join"
+# A join record is (xkey, ykey, code): the class joins x and y side by side,
+# x inverted if code & _FX, y if code & _FY, and the sum is inverted to its
+# representative if code & _OUTER.  (2 * fx + fy) orders the four orientations
+# as the build visits them.  A leaf record is (None, None, rotated).
+_FY = 1
+_FX = 2
+_OUTER = 4
+
+# Tile classes whose levels up to CACHED_LEVELS are kept across calls, least
+# recently used first.  Four classes hold about 4 MB: for r = 1 + sqrt(p),
+# p in {2, 3, 5}, the tables to level 7 cover about 4,170 classes in
+# 0.9-1.0 MB, while level 8 alone would add over 4 MB per class, so deeper
+# levels are built in a private copy that the call drops.
+CACHED_LEVELS = 7
+CACHED_CLASSES = 4
+
+Tables = tuple[dict, list[list[Key]], dict[Key, Key]]
+_cache: OrderedDict[tuple[Key, int], Tables] = OrderedDict()
+_cache_lock = threading.Lock()
 
 
-def _tile_level(r: Quad) -> tuple[dict, list[list[Key]], dict[Key, Key]]:
-    """Join table, levels 0-1 and (empty) inverse table for tiles of ratio r."""
-    rep, rotated = _canon(r.key, r.field.radicand)
-    return {rep: (_LEAF, rotated)}, [[], [rep]], {}
+def _tile_level(rep: Key) -> Tables:
+    """Join table, levels 0-1 and (empty) inverse table for tile class rep."""
+    return {rep: (None, None, False)}, [[], [rep]], {}
 
 
 def _build_level(
@@ -148,35 +176,68 @@ def _build_level(
         for xkey, ykey in pairs:
             xinv = inv_of[xkey]
             yinv = inv_of[ykey]
-            for ux, uy, fx, fy in (
-                (xkey, ykey, False, False),
-                (xkey, yinv, False, True),
-                (xinv, ykey, True, False),
-                (xinv, yinv, True, True),
+            for ux, uy, code in (
+                (xkey, ykey, 0),
+                (xkey, yinv, _FY),
+                (xinv, ykey, _FX),
+                (xinv, yinv, _FX | _FY),
             ):
                 s = key_add(ux, uy)
                 # _canon spelled out: calling it here slows a 9-tile enumeration by 3-5%
                 if int_sign(s[0] - s[2], s[1], P) >= 0:
-                    ck, outer_inv = s, False
+                    ck = s
                 else:
-                    ck, outer_inv = key_inv(s, P), True
+                    ck = key_inv(s, P)
+                    code |= _OUTER
                 if ck in nodes:
                     continue
-                nodes[ck] = (_JOIN, xkey, fx, ykey, fy, outer_inv)
+                nodes[ck] = (xkey, ykey, code)
                 new.append(ck)
     levels.append(new)
+
+
+def _tables(rep: Key, P: int, n: int) -> Tables:
+    """The shared tables of tile class rep, grown to level min(n, CACHED_LEVELS).
+
+    A table is only ever extended, one whole level at a time, and a level
+    becomes visible in ``levels`` once it is complete, so readers need no
+    lock; a record, once written, never changes.
+    """
+    with _cache_lock:
+        tables = _cache.get((rep, P))
+        if tables is None:
+            tables = _cache[rep, P] = _tile_level(rep)
+            if len(_cache) > CACHED_CLASSES:
+                _cache.popitem(last=False)
+        else:
+            _cache.move_to_end((rep, P))
+        while len(tables[1]) <= min(n, CACHED_LEVELS):
+            _build_level(*tables, P)
+        return tables
+
+
+def _grown(rep: Key, P: int, n: int, tables: Tables) -> Tables:
+    """Tables of tile class rep with level n built, from ``tables`` holding
+    level n - 1: the shared ones up to CACHED_LEVELS, a private copy beyond."""
+    if n <= CACHED_LEVELS:
+        return _tables(rep, P, n)
+    if n == CACHED_LEVELS + 1:
+        nodes, levels, inv_of = tables
+        tables = dict(nodes), list(levels), dict(inv_of)
+    _build_level(*tables, P)
+    return tables
 
 
 def _first_join(
     t: Key,
     n: int,
     levels: list[list[Key]],
-    nodes: dict,
+    found: dict,
     indexes: dict[int, dict[Key, int]],
     P: int,
 ) -> tuple[tuple, tuple] | None:
-    """The node that building level n would record for the class t >= 1,
-    with its rank (i, x index, y index, fx, fy), or None if t is not
+    """The record that building level n would write for the class t >= 1,
+    with its rank (i, x index, y index, 2 * fx + fy), or None if t is not
     reachable with n tiles.  t must lie at no level below n, and every level
     below n - 1 must be built.
 
@@ -194,13 +255,13 @@ def _first_join(
     If level n - 1 is not built, a residual against level 1 is settled by
     its own lookup at level n - 1, and its rank stands in for its index
     there.  No built level holds such a residual, or t would lie below
-    level n.  The winning residual's node then goes into ``nodes``.
+    level n.  The winning residual's record then goes into ``found``.
     ``indexes`` caches each level's {key: index} map.  The inverses of the
     few classes scanned, at levels up to n/2, are computed here.
     """
-    sums = [(t, False)]
+    sums = [(t, 0)]
     if t != (1, 0, 1):
-        sums.append((key_inv(t, P), True))
+        sums.append((key_inv(t, P), _OUTER))
     for i in range(1, n // 2 + 1):
         j = n - i
         built = j < len(levels)
@@ -210,8 +271,8 @@ def _first_join(
                 index = indexes[j] = {k: y for y, k in enumerate(levels[j])}
         for xi, xkey in enumerate(levels[i]):
             best = None
-            for fx, (a, b, d) in ((False, xkey), (True, key_inv(xkey, P))):
-                for s, outer_inv in sums:
+            for fx, (a, b, d) in ((0, xkey), (_FX, key_inv(xkey, P))):
+                for s, outer in sums:
                     res = key_add(s, (-a, -b, d))
                     if int_sign(res[0], res[1], P) <= 0:
                         continue
@@ -222,27 +283,28 @@ def _first_join(
                             continue
                         ynode = None
                     else:
-                        found = _first_join(ykey, j, levels, nodes, indexes, P)
-                        if found is None:
+                        hit = _first_join(ykey, j, levels, found, indexes, P)
+                        if hit is None:
                             continue
-                        ynode, y = found
-                    cand = (y, fx, fy, outer_inv, ykey, ynode)
+                        ynode, y = hit
+                    orient = fx | (_FY if fy else 0)
+                    cand = (y, orient, outer, ykey, ynode)
                     if best is None or cand < best:
                         best = cand
             if best is not None:
-                y, fx, fy, outer_inv, ykey, ynode = best
+                y, orient, outer, ykey, ynode = best
                 if ynode is not None:
-                    nodes[ykey] = ynode
-                return (_JOIN, xkey, fx, ykey, fy, outer_inv), (i, xi, y, fx, fy)
+                    found[ykey] = ynode
+                return (xkey, ykey, orient | outer), (i, xi, y, orient)
     return None
 
 
-def _build_tree(nodes: dict, key: Key, inv: bool) -> CompositionTree:
-    node = nodes[key]
-    if node[0] == _LEAF:
-        return Leaf(rotated=node[1] ^ inv)
-    _, lk, fl, rk, fr, outer_inv = node
-    if outer_inv ^ inv:
+def _build_tree(nodes: Mapping, key: Key, inv: bool) -> CompositionTree:
+    lk, rk, code = nodes[key]
+    if lk is None:
+        return Leaf(rotated=code != inv)
+    fl, fr = bool(code & _FX), bool(code & _FY)
+    if bool(code & _OUTER) != inv:
         # The mirror of a side-by-side join is a stack of mirrored children.
         return VJoin(_build_tree(nodes, lk, not fl), _build_tree(nodes, rk, not fr))
     return HJoin(_build_tree(nodes, lk, fl), _build_tree(nodes, rk, fr))
@@ -268,21 +330,35 @@ def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTr
     if y.field != r.field:
         raise ValueError("ratios must share one field parameter")
     P = r.field.radicand
-    nodes, levels, inv_of = _tile_level(r)
-    indexes: dict[int, dict[Key, int]] = {}
+    rep, rotated = _canon(r.key, P)
     tkey, tinv = _canon(y.key, P)
-    for n in range(2, max_leaves + 1):
-        if tkey in nodes:
-            break
-        if n <= max_leaves - 2:
-            _build_level(nodes, levels, inv_of, P)
-        else:
-            found = _first_join(tkey, n, levels, nodes, indexes, P)
-            if found is not None:
-                nodes[tkey] = found[0]
+    # This call's own records: its leaf, as r and 1/r share a class but not
+    # a leaf orientation, and the nodes it settles by lookup, which the
+    # shared tables must never hold.
+    found: dict = {rep: (None, None, rotated)}
+    tables = _tables(rep, P, 1)
+    nodes, levels, _ = tables
+    # Every level up to ``built`` is complete, so a target not yet in the
+    # table lies beyond it.
+    built = len(levels) - 1
+    indexes: dict[int, dict[Key, int]] = {}
     if tkey not in nodes:
-        return None
-    return _build_tree(nodes, tkey, tinv)
+        for n in range(built + 1, max_leaves + 1):
+            if n <= max_leaves - 2:
+                tables = _grown(rep, P, n, tables)
+                nodes, levels, _ = tables
+                if tkey in nodes:
+                    break
+            else:
+                hit = _first_join(tkey, n, levels, found, indexes, P)
+                if hit is not None:
+                    found[tkey] = hit[0]
+                    break
+        else:
+            return None
+    tree = _build_tree(ChainMap(found, nodes), tkey, tinv)
+    # a warm table may hold the target at a level beyond the budget
+    return tree if leaf_count(tree) <= max_leaves else None
 
 
 def ratio_class_rep(y: Quad) -> Quad:
@@ -296,12 +372,15 @@ def reachable_ratios(r: Quad, max_leaves: int) -> dict[Quad, int]:
     """Every ratio class reachable from tiles of ratio r within the leaf
     budget, as canonical representative -> minimal leaf count."""
     _check_search_inputs(r, max_leaves)
-    nodes, levels, inv_of = _tile_level(r)
-    for _ in range(2, max_leaves + 1):
-        _build_level(nodes, levels, inv_of, r.field.radicand)
-    # the join table is dropped before the keys are wrapped, which lowers
-    # the peak memory of a 9-tile enumeration by about a sixth
-    del nodes, inv_of
+    P = r.field.radicand
+    rep = _canon(r.key, P)[0]
+    tables = _tables(rep, P, max_leaves)
+    for n in range(CACHED_LEVELS + 1, max_leaves + 1):
+        tables = _grown(rep, P, n, tables)
+    levels = tables[1][: max_leaves + 1]
+    # a private join table is dropped before the keys are wrapped, which
+    # lowers the peak memory of a 9-tile enumeration by about a seventh
+    del tables
     return {Quad(k, r.field): n for n, keys in enumerate(levels) for k in keys}
 
 

@@ -29,7 +29,7 @@ from .exactfield import (
     parse_rat,
     quad_from_rats,
 )
-from .geometry import Dissection, Point, Polygon, Rect, VerifyReport
+from .geometry import Dissection, Point, Polygon, Rect, VerifyReport, _require_one_field
 from .invariants import SeparationCertificate
 
 __all__ = [
@@ -53,6 +53,9 @@ __all__ = [
 class Instance:
     region: Polygon
     tiles: tuple[Rect, ...]
+
+    def __post_init__(self) -> None:
+        _require_one_field(self.region, self.tiles)
 
     @property
     def field(self) -> FieldParam:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quadrect import FieldParam, format_rat, pinwheel_dissection
+from quadrect import Dissection, FieldParam, format_rat, pinwheel_dissection, verify_tiling
 from quadrect.cli import run
 from quadrect.jsonio import (
     Instance,
@@ -64,6 +64,18 @@ class TestJsonRoundTrip:
         assert again.dissection() == d
         assert doc["p"] == instance_to_json(again)["p"] == format_rat(field.p)
         assert dumps(instance_to_json(again)) == dumps(doc)
+
+    @pytest.mark.parametrize("build", [Dissection, Instance])
+    def test_tiles_from_another_field_are_rejected(self, build):
+        # The document would carry the region's "p" next to the tile's (a, b)
+        # pairs, and reload as a dissection over the region's field.
+        region = rect_of(F2, 0, 0, 1, 1).to_polygon()
+        tile = rect_of(FieldParam(3), 0, 0, 1, 1)
+        with pytest.raises(ValueError, match="tiles and region must share one field parameter"):
+            build(region, (tile,))
+        same = instance_from_json(instance_to_json(build(region, (rect_of(F2, 0, 0, 1, 1),))))
+        assert same.field == F2
+        assert verify_tiling(same.dissection()).valid
 
     def test_instance_field_is_its_region_field(self):
         d = pinwheel_dissection(FieldParam(3).quad(3, 1), FieldParam(3).one)

@@ -9,9 +9,16 @@ None, for every target and budget: at the minimal leaf count the first hit
 lies on one of those levels, where the tie-break between joins decides the
 tree.  ``reachable_ratios`` still builds every level but keeps no inverses
 for the last one, so it must return the same classes.
+
+Both keep each tile class's levels up to ``CACHED_LEVELS`` across calls, so
+the same checks run again on warm, shared and evicted tables, and from a
+few threads at once.
 """
 
 import random
+import sys
+import threading
+from collections import ChainMap
 from fractions import Fraction
 from functools import cache
 
@@ -30,7 +37,7 @@ from quadrect import (
     tree_ratio,
 )
 from quadrect import constructor
-from quadrect.constructor import _JOIN, _LEAF, _build_tree, _canon
+from quadrect.constructor import _FX, _FY, _OUTER, _build_tree, _canon
 from quadrect.exactfield import int_sign, key_add, key_inv
 
 PS = [Fraction(2), Fraction(3), Fraction(5), Fraction(5, 2)]
@@ -47,7 +54,7 @@ def ref_expand(r, max_leaves, target):
     rkey = r.key
     r_ge1 = _kge1(rkey, P)
     rep = rkey if r_ge1 else key_inv(rkey, P)
-    nodes = {rep: (_LEAF, not r_ge1)}
+    nodes = {rep: (None, None, not r_ge1)}
     inv_of = {rep: key_inv(rep, P)}
     levels = [[], [rep]]
 
@@ -88,7 +95,8 @@ def ref_expand(r, max_leaves, target):
                         ck, outer_inv = key_inv(s, P), True
                     if ck in nodes:
                         continue
-                    nodes[ck] = (_JOIN, xkey, fx, ykey, fy, outer_inv)
+                    code = (_FX if fx else 0) | (_FY if fy else 0) | (_OUTER if outer_inv else 0)
+                    nodes[ck] = (xkey, ykey, code)
                     inv_of[ck] = key_inv(ck, P)
                     new.append(ck)
         levels.append(new)
@@ -241,6 +249,19 @@ def test_first_hit_on_the_two_looked_up_levels(p):
                         assert construct_dissection(y, r, budget - 1) is None
 
 
+@pytest.fixture
+def cold_cache():
+    """Empties the process-wide level cache, so the test's first search is
+    cold; the returned function empties it again inside a loop."""
+
+    def clear():
+        with constructor._cache_lock:
+            constructor._cache.clear()
+
+    clear()
+    return clear
+
+
 def spy_builds(monkeypatch):
     """The level built by each ``_build_level`` call, in call order."""
     built = []
@@ -255,7 +276,7 @@ def spy_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("field, r", cases())
-def test_budgets_that_build_nothing_beyond_level_one(field, r, monkeypatch):
+def test_budgets_that_build_nothing_beyond_level_one(field, r, monkeypatch, cold_cache):
     _nodes, levels, _ = ref_expand(r, 4, None)
     built = spy_builds(monkeypatch)
     for keys in levels:
@@ -309,15 +330,15 @@ def certified_miss(field, r):
 
 
 @pytest.mark.parametrize("budget", range(1, TOP + 1))
-def test_miss_builds_no_level_beyond_budget_minus_two(budget, monkeypatch):
+def test_miss_builds_no_level_beyond_budget_minus_two(budget, monkeypatch, cold_cache):
     field = FieldParam(2)
     r = field.one + field.sqrt_p
     y = certified_miss(field, r)
     tables = []
     tile_level = constructor._tile_level
 
-    def spy(r):
-        tables.append(tile_level(r))
+    def spy(rep):
+        tables.append(tile_level(rep))
         return tables[-1]
 
     monkeypatch.setattr(constructor, "_tile_level", spy)
@@ -333,7 +354,7 @@ def test_miss_builds_no_level_beyond_budget_minus_two(budget, monkeypatch):
 
 
 @pytest.mark.parametrize("level", range(1, TOP - 1))
-def test_hit_builds_up_to_its_level_and_stops(level, monkeypatch):
+def test_hit_builds_up_to_its_level_and_stops(level, monkeypatch, cold_cache):
     # budget TOP builds levels up to TOP - 2, so a class first reached at a
     # level k <= TOP - 2 stops the search after the k - 1 builds that reach it
     r, nodes, levels, _ = silver_table(2)
@@ -341,9 +362,15 @@ def test_hit_builds_up_to_its_level_and_stops(level, monkeypatch):
     built = spy_builds(monkeypatch)
     for key in sample(rng, levels[level], 2):
         for y, inv in targets(r, key):
+            cold_cache()
             built.clear()
-            assert construct_dissection(y, r, TOP) == _build_tree(nodes, key, inv)
+            want = _build_tree(nodes, key, inv)
+            assert construct_dissection(y, r, TOP) == want
             assert built == list(range(2, level + 1)), (level, key)
+            # the same class again finds its levels cached
+            built.clear()
+            assert construct_dissection(y, r, TOP) == want
+            assert built == []
 
 
 def test_nine_tile_miss_creates_no_level_eight_class(monkeypatch):
@@ -364,3 +391,142 @@ def test_nine_tile_miss_creates_no_level_eight_class(monkeypatch):
     assert sorted({n for n, _ in calls}) == [8, 9]
     assert sum(n == 8 for n, _ in calls) > 1
     assert all(found is None for _, found in calls)
+
+
+def reference(p, tile, y, budget):
+    """``ref_construct(y, tile, budget)`` for tile r = 1 + sqrt(p) or 1/r and
+    budget <= TOP, read off the full forward build: only the leaf record
+    depends on which of the two the tile is."""
+    r, nodes, levels, level_of = silver_table(p)
+    tkey, tinv = _canon(y.key, r.field.radicand)
+    if level_of.get(tkey, TOP + 1) > budget:
+        return None
+    leaf = {levels[1][0]: (None, None, tile != r)}
+    return _build_tree(ChainMap(leaf, nodes), tkey, tinv)
+
+
+def cached_tables(r):
+    """The shared tables of r's class, or None if it is not cached."""
+    P = r.field.radicand
+    return constructor._cache.get((_canon(r.key, P)[0], P))
+
+
+def assert_consistent(tables):
+    """Exactly the classes of the built levels are in the join table."""
+    nodes, levels, _inv_of = tables
+    assert len(levels) - 1 <= constructor.CACHED_LEVELS
+    assert len(nodes) == sum(map(len, levels))
+    assert set(nodes) == {k for keys in levels for k in keys}
+
+
+@pytest.mark.parametrize("inverse_first", [False, True], ids=["r_first", "inverse_first"])
+def test_cold_and_warm_searches_agree_for_r_and_its_inverse(inverse_first, cold_cache):
+    r, _nodes, levels, _ = silver_table(2)
+    tiles = [r, r.field.one / r]
+    if inverse_first:
+        tiles.reverse()
+    rng = random.Random("warm")
+    ys = [y for level in range(1, TOP + 1)
+          for key in sample(rng, levels[level], 1) for y, _inv in targets(r, key)]
+    ys.append(certified_miss(r.field, r))
+    for tile in tiles:
+        # the first search is cold; the rest, the other tile's too, are warm
+        for y in ys:
+            for budget in (4, TOP):
+                assert construct_dissection(y, tile, budget) == reference(2, tile, y, budget)
+    assert_consistent(cached_tables(r))
+
+
+def test_more_tile_classes_than_the_cache_holds(cold_cache):
+    field = FieldParam(2)
+    tiles = tile_ratios(field)
+    classes = {_canon(t.key, field.radicand)[0] for t in tiles}
+    assert len(classes) > constructor.CACHED_CLASSES
+    rng = random.Random("evict")
+    for _ in range(2):
+        for r in tiles:
+            y = tree_ratio(random_tree(rng, rng.randint(2, 6)), r)
+            for budget in (4, 6):
+                same(y, r, budget)
+            assert reachable_ratios(r, 5) == ref_reachable(r, 5)
+            assert len(constructor._cache) <= constructor.CACHED_CLASSES
+            assert_consistent(cached_tables(r))
+
+
+@pytest.mark.parametrize("budget", [7, TOP])
+def test_lookup_nodes_stay_out_of_the_shared_tables(budget, cold_cache):
+    # A class at level budget - 1 is settled by lookup at budget and at
+    # budget - 1; a leaked node would hide it from the level build later.
+    r, _nodes, levels, _ = silver_table(2)
+    key = sample(random.Random(f"leak|{budget}"), levels[budget - 1], 1)[0]
+    for y, _inv in targets(r, key):
+        for b in (budget, budget - 1, budget - 2):
+            assert construct_dissection(y, r, b) == reference(2, r, y, b)
+        assert key not in cached_tables(r)[0]
+    assert reachable_ratios(r, 7) == ref_reachable(r, 7)
+    assert_consistent(cached_tables(r))
+
+
+def test_budgets_ten_and_eleven_leave_the_cached_levels_unchanged(cold_cache):
+    r, _nodes, levels, _ = silver_table(2)
+    miss = certified_miss(r.field, r)
+    assert construct_dissection(miss, r, TOP) is None
+    nodes, levels_before, inv_of = cached_tables(r)
+    before = dict(nodes), [list(keys) for keys in levels_before], dict(inv_of)
+    assert construct_dissection(miss, r, 10) is None
+    # level 8 is built past the cache, into a private copy
+    key = sample(random.Random("deep"), levels[8], 1)[0]
+    y = Quad(key, r.field)
+    assert construct_dissection(y, r, 11) == reference(2, r, y, TOP)
+    assert cached_tables(r) == before
+    assert_consistent(cached_tables(r))
+    assert construct_dissection(y, r, TOP) == reference(2, r, y, TOP)
+
+
+@pytest.mark.parametrize("budget", [5, 8])
+def test_reachable_ratios_returns_a_fresh_dict(budget):
+    field = FieldParam(2)
+    r = field.one + field.sqrt_p
+    got = reachable_ratios(r, budget)
+    want = ref_reachable(r, budget)
+    assert got == want
+    got.clear()
+    got[field.one] = 99
+    assert reachable_ratios(r, budget) == want
+
+
+def test_threads_on_a_cold_cache_match_a_serial_run(cold_cache):
+    rng = random.Random("threads")
+    jobs = []
+    for p in (2, 3):
+        r, _nodes, levels, _ = silver_table(p)
+        for tile in (r, r.field.one / r):
+            for level in range(2, TOP + 1):
+                for y, _inv in targets(r, sample(rng, levels[level], 1)[0]):
+                    jobs.append((y, tile, rng.randint(level - 1, TOP)))
+            jobs.append((certified_miss(r.field, r), tile, TOP))
+    serial = [construct_dissection(y, tile, b) for y, tile, b in jobs]
+    cold_cache()
+    results = [None] * 4
+
+    def run(t):
+        # each thread starts at another job, so growth interleaves
+        order = list(range(len(jobs)))
+        order = order[t::4] + [i for i in order if i % 4 != t]
+        results[t] = {i: construct_dissection(*jobs[i]) for i in order}
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got in results:
+        assert [got[i] for i in range(len(jobs))] == serial
+    for p in (2, 3):
+        assert_consistent(cached_tables(silver_table(p)[0]))
