@@ -37,10 +37,10 @@ from .render import render_svg
 
 __all__ = ["run", "main"]
 
-# Level sizes grow about fivefold per tile.  A budget of n builds the classes
-# of up to n - 2 tiles, so 11 builds those of up to 9 (about 100k for
-# r = 1 + sqrt(2)): a miss there takes about 0.3 s and 55 MB peak RSS
-# (Python 3.11, shared 2-vCPU x86-64 host), and 12 would build 5x more.
+# A search builds no level above 7 tiles and looks the rest up, recursively
+# through the levels it did not build; the lookups grow about fivefold per
+# tile.  A miss at 11 takes about 0.05 s in-process, and a fresh CLI process
+# 0.2 s and 18 MB peak RSS (Python 3.11, shared 2-vCPU x86-64 host).
 MAX_CONSTRUCT_LEAVES = 11
 
 
@@ -181,9 +181,9 @@ def _build_parser() -> argparse.ArgumentParser:
     complete.set_defaults(handler=_cmd_complete)
 
     construct = sub.add_parser("construct", help="search for a witness dissection")
-    construct.add_argument("--y", required=True)
-    construct.add_argument("--r", required=True)
-    construct.add_argument("--p", required=True)
+    construct.add_argument("--y", required=True, help="rectangle side ratio")
+    construct.add_argument("--r", required=True, help="tile side ratio")
+    construct.add_argument("--p", required=True, help="field radicand")
     construct.add_argument(
         "--max-leaves", type=int, default=8, dest="max_leaves",
         help=f"leaf budget, at most {MAX_CONSTRUCT_LEAVES}",
@@ -200,7 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     zarea.add_argument("--p", required=True)
     zarea.set_defaults(handler=_cmd_invariants_zarea)
 
-    abc = inv_sub.add_parser("abc", help="separating parameters and certificate")
+    abc = inv_sub.add_parser("abc", help="separating parameters and certificate"
+                             " for rectangle ratio e+f*sqrt(p), tile ratio a+b*sqrt(p)")
     for flag in ("a", "b", "e", "f", "p"):
         abc.add_argument(f"--{flag}", required=True)
     abc.set_defaults(handler=_cmd_invariants_abc)

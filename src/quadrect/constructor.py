@@ -9,26 +9,25 @@ and a search alike; a ratio already reached at a smaller level keeps its
 first (hence smallest) witness, and enumeration order is fixed so results
 are reproducible.  A search for one target with a budget of n tiles stops
 at the first level holding the target's class, builds levels only up to
-n - 2 and settles levels n - 1 and n by lookup.  A class is at level m iff
-it joins a class of level i <= m/2 with one of level m - i, so the target's
-residuals against the few classes of levels up to m/2 are looked up among
-level m - i instead, in the order the build would have met them, which
-gives the same first tree.  At level n, the residuals against level 1 would
-lie at the unbuilt level n - 1; each is settled by the same lookup one level
-down, whose join's rank orders them as their positions there would.  A miss
-is only a miss: the search is depth-bounded and guillotine-only, so NotFound
-(None) never proves impossibility; the decision procedure is the authority
-on that.
+min(n - 2, ``CACHED_LEVELS``) and settles every level above them by lookup.
+A class is at level m iff it joins a class of level i <= m/2 with one of
+level m - i, so the target's residuals against the few classes of levels up
+to m/2 are looked up among level m - i instead, in the order the build
+would have met them, which gives the same first tree.  A residual that would
+lie at an unbuilt level is settled by the same lookup there, whose join's
+rank orders it as its position there would.  A miss is only a miss: the
+search is depth-bounded and guillotine-only, so NotFound (None) never
+proves impossibility; the decision procedure is the authority on that.
 
 Levels up to ``CACHED_LEVELS`` (7) tiles depend only on the tile class, so
 the tables of the ``CACHED_CLASSES`` (4) classes used last are kept for the
 whole process.  They grow under a lock, one level at a time and only as far
 as a call needs, so a cold search builds what it would without them and a
-warm one builds nothing up to 7 tiles.  Deeper levels (budgets above 9,
-enumerations above 7 tiles) are built in a private copy.  A search keeps
-its own records apart: its leaf, since r and 1/r share a class but not a
-leaf orientation, and the nodes it settles by lookup, which a later build
-of their level must not find.
+later one only the levels no earlier call needed.  No search builds a
+deeper level; an enumeration above 7 tiles builds its deeper levels in a
+private copy.  A search keeps its own records apart: its leaf, since r and
+1/r share a class but not a leaf orientation, and the nodes it settles by
+lookup, which a later build of their level must not find.
 
 The search runs on the bare canonical keys (A, B, D) that ``Quad`` stores
 (see ``exactfield``), through the same key functions, so the hot loop is
@@ -140,8 +139,9 @@ _OUTER = 4
 # Tile classes whose levels up to CACHED_LEVELS are kept across calls, least
 # recently used first.  Four classes hold about 4 MB: for r = 1 + sqrt(p),
 # p in {2, 3, 5}, the tables to level 7 cover about 4,170 classes in
-# 0.9-1.0 MB, while level 8 alone would add over 4 MB per class, so deeper
-# levels are built in a private copy that the call drops.
+# 0.9-1.0 MB, while level 8 alone would add over 4 MB per class, so a
+# search looks deeper levels up and an enumeration builds them in a private
+# copy that it drops.
 CACHED_LEVELS = 7
 CACHED_CLASSES = 4
 
@@ -216,18 +216,6 @@ def _tables(rep: Key, P: int, n: int) -> Tables:
         return tables
 
 
-def _grown(rep: Key, P: int, n: int, tables: Tables) -> Tables:
-    """Tables of tile class rep with level n built, from ``tables`` holding
-    level n - 1: the shared ones up to CACHED_LEVELS, a private copy beyond."""
-    if n <= CACHED_LEVELS:
-        return _tables(rep, P, n)
-    if n == CACHED_LEVELS + 1:
-        nodes, levels, inv_of = tables
-        tables = dict(nodes), list(levels), dict(inv_of)
-    _build_level(*tables, P)
-    return tables
-
-
 def _first_join(
     t: Key,
     n: int,
@@ -239,7 +227,7 @@ def _first_join(
     """The record that building level n would write for the class t >= 1,
     with its rank (i, x index, y index, 2 * fx + fy), or None if t is not
     reachable with n tiles.  t must lie at no level below n, and every level
-    below n - 1 must be built.
+    up to n/2 must be built.
 
     t is at level n iff u_x + u_y is t or 1/t for some x in level i <= n/2
     and y in level n - i, where u_x is x or 1/x.  So each x looks up its
@@ -252,12 +240,14 @@ def _first_join(
     i = n - i, but the lookup needs no such guard: a candidate y before x
     would have found x in its own, earlier lookup.
 
-    If level n - 1 is not built, a residual against level 1 is settled by
-    its own lookup at level n - 1, and its rank stands in for its index
-    there.  No built level holds such a residual, or t would lie below
-    level n.  The winning residual's record then goes into ``found``.
-    ``indexes`` caches each level's {key: index} map.  The inverses of the
-    few classes scanned, at levels up to n/2, are computed here.
+    If level n - i is not built, a residual against level i is settled by
+    its own lookup at level n - i, and its rank stands in for its index
+    there.  That lookup's precondition holds: a residual at a level k below
+    n - i would put t at level i + k < n, so by induction it holds for every
+    residual the recursion visits.  Each lookup that settles a residual
+    puts its winning record into ``found``.  ``indexes`` caches each built
+    level's {key: index} map.  The inverses of the few classes scanned, at
+    levels up to n/2, are computed here.
     """
     sums = [(t, 0)]
     if t != (1, 0, 1):
@@ -322,11 +312,12 @@ def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTr
     from tiles of ratio r, or None if none exists within ``max_leaves``.
 
     None is not a proof of impossibility; the search is bounded and only
-    explores guillotine cuts.
+    explores guillotine cuts.  It reaches at most 15 tiles: with a larger
+    budget, a target with no witness of up to 15 raises ValueError.
     """
     _check_search_inputs(r, max_leaves)
     if y.sign() <= 0:
-        raise ValueError("target ratio must be positive")
+        raise ValueError("rectangle ratio must be positive")
     if y.field != r.field:
         raise ValueError("ratios must share one field parameter")
     P = r.field.radicand
@@ -336,19 +327,21 @@ def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTr
     # a leaf orientation, and the nodes it settles by lookup, which the
     # shared tables must never hold.
     found: dict = {rep: (None, None, rotated)}
-    tables = _tables(rep, P, 1)
-    nodes, levels, _ = tables
+    nodes, levels, _ = _tables(rep, P, 1)
     # Every level up to ``built`` is complete, so a target not yet in the
     # table lies beyond it.
     built = len(levels) - 1
     indexes: dict[int, dict[Key, int]] = {}
     if tkey not in nodes:
         for n in range(built + 1, max_leaves + 1):
-            if n <= max_leaves - 2:
-                tables = _grown(rep, P, n, tables)
-                nodes, levels, _ = tables
+            if n <= min(max_leaves - 2, CACHED_LEVELS):
+                nodes, levels, _ = _tables(rep, P, n)
                 if tkey in nodes:
                     break
+            elif n > 2 * CACHED_LEVELS + 1:
+                # level n's lookup would scan the unbuilt levels up to n/2
+                raise ValueError(
+                    f"no witness within {n - 1} tiles; the search reaches no further")
             else:
                 hit = _first_join(tkey, n, levels, found, indexes, P)
                 if hit is not None:
@@ -375,8 +368,11 @@ def reachable_ratios(r: Quad, max_leaves: int) -> dict[Quad, int]:
     P = r.field.radicand
     rep = _canon(r.key, P)[0]
     tables = _tables(rep, P, max_leaves)
-    for n in range(CACHED_LEVELS + 1, max_leaves + 1):
-        tables = _grown(rep, P, n, tables)
+    if max_leaves > CACHED_LEVELS:
+        # levels beyond the cache go into a private copy
+        tables = tuple(table.copy() for table in tables)
+        while len(tables[1]) <= max_leaves:
+            _build_level(*tables, P)
     levels = tables[1][: max_leaves + 1]
     # a private join table is dropped before the keys are wrapped, which
     # lowers the peak memory of a 9-tile enumeration by about a seventh

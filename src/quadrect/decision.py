@@ -72,7 +72,7 @@ class Verdict:
 
     ``witness_params`` holds the coordinates (e, f) of the polygon's ratio
     when it lies in the field.  A negative verdict for an in-field ratio and
-    irrational target ratio always carries a certificate.
+    irrational tile ratio always carries a certificate.
     """
 
     tileable: bool
@@ -84,13 +84,13 @@ class Verdict:
 def decide_rect_ratio(y: Quad | NotInField, r: Quad) -> Verdict:
     """Can a rectangle of side ratio y be cut into rectangles similar to r?"""
     if r.sign() <= 0:
-        raise ValueError("target ratio must be positive")
+        raise ValueError("tile ratio must be positive")
     conj_sign = r.conj().sign()
     case_tag = CASE_CONJUGATE_POSITIVE if conj_sign > 0 else CASE_CONJUGATE_NEGATIVE
     if isinstance(y, NotInField):
         return Verdict(False, case_tag, None, None)
     if y.field != r.field:
-        raise ValueError("ratio and target must share one field parameter")
+        raise ValueError("rectangle ratio and tile ratio must share one field parameter")
     if y.sign() <= 0:
         raise ValueError("rectangle ratio must be positive")
     member = in_membership_set(y, r)

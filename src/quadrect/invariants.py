@@ -206,29 +206,29 @@ def separation_certificate(
     f: Fraction | int | str,
     p: Fraction | int | str,
 ) -> SeparationCertificate:
-    """The ABC parameters (f, -e, 2*f*a**2/b**2 - p*f), which zero the tile
-    rectangle (e + f*sqrt(p)) x 1 while staying sign-definite on every
-    rectangle of ratio a + b*sqrt(p); the quarter discriminant
+    """The ABC parameters (f, -e, 2*f*a**2/b**2 - p*f), which zero the
+    rectangle (e + f*sqrt(p)) x 1 while staying sign-definite on every tile
+    of ratio a + b*sqrt(p); the quarter discriminant
     (a**2 - p*b**2)(e**2 - f**2*a**2/b**2), checked negative; and the common
-    ABC-area sign of ratio-(a + b*sqrt(p)) rectangles, which is the sign of
-    f*a - e*b.
+    ABC-area sign of the tiles, which is the sign of f*a - e*b.
 
-    Requires both ratios positive, b nonzero, and the tile ratio outside the
-    membership set of the target ratio (otherwise no such parameters exist).
+    Requires the tile ratio a + b*sqrt(p) and the rectangle ratio
+    e + f*sqrt(p) positive, b nonzero, and the rectangle ratio outside the
+    membership set of the tile ratio (otherwise no such parameters exist).
     """
     a, b, e, f, p = _to_rat(a), _to_rat(b), _to_rat(e), _to_rat(f), _to_rat(p)
     field = FieldParam(p)
     if b == 0:
-        raise ValueError("separation needs an irrational target ratio (b != 0)")
+        raise ValueError("separation needs an irrational tile ratio (b != 0)")
     r = field.quad(a, b)
     y = field.quad(e, f)
     if r.sign() <= 0:
-        raise ValueError("target ratio a + b*sqrt(p) must be positive")
+        raise ValueError("tile ratio a + b*sqrt(p) must be positive")
     if y.sign() <= 0:
-        raise ValueError("tile ratio e + f*sqrt(p) must be positive")
+        raise ValueError("rectangle ratio e + f*sqrt(p) must be positive")
     if in_membership_set(y, r):
         raise ValueError(
-            "tile ratio passes the membership test; no separating parameters exist"
+            "rectangle ratio passes the membership test; no separating parameters exist"
         )
     params = ABCParams(f, -e, 2 * f * a * a / (b * b) - p * f)
     disc4 = (a * a - p * b * b) * (e * e - f * f * a * a / (b * b))

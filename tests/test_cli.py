@@ -355,6 +355,43 @@ class TestInvariantsCommands:
         assert code == 2
 
 
+class TestRatioNames:
+    # Every command names r the tile ratio and y the rectangle ratio, as the
+    # CLI help does; abc's a + b*sqrt(p) is the tile ratio, e + f*sqrt(p)
+    # the rectangle ratio.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["decide", "rect", "--y", "2", "--r=-1", "--p", "2"],
+             "tile ratio must be positive"),
+            (["decide", "rect", "--y=-2", "--r", "1+1*sqrt", "--p", "2"],
+             "rectangle ratio must be positive"),
+            (["decide", "hole", "--u", "3", "--v", "1", "--r", "0", "--p", "2"],
+             "tile ratio must be positive"),
+            (["construct", "--y", "2", "--r=-1", "--p", "2"],
+             "tile ratio must be positive"),
+            (["construct", "--y=-2", "--r", "1+1*sqrt", "--p", "2"],
+             "rectangle ratio must be positive"),
+            (["invariants", "abc", "--a", "1", "--b", "0", "--e", "2", "--f", "1", "--p", "2"],
+             "separation needs an irrational tile ratio (b != 0)"),
+            (["invariants", "abc", "--a=-3", "--b", "1", "--e", "2", "--f", "1", "--p", "2"],
+             "tile ratio a + b*sqrt(p) must be positive"),
+            (["invariants", "abc", "--a", "1", "--b", "1", "--e=-3", "--f", "1", "--p", "2"],
+             "rectangle ratio e + f*sqrt(p) must be positive"),
+            (["invariants", "abc", "--a", "1", "--b", "1", "--e", "1", "--f", "1", "--p", "2"],
+             "rectangle ratio passes the membership test; no separating parameters exist"),
+        ],
+        ids=["rect-r", "rect-y", "hole-r", "construct-r", "construct-y",
+             "abc-rational", "abc-tile", "abc-rectangle", "abc-member"],
+    )
+    def test_message_names_the_flag_by_its_help_term(self, capsys, argv, message):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestRender:
     def test_decimal_approximation(self):
         assert quad_to_decimal(F2.quad(0, 1), 8) == "1.41421356"

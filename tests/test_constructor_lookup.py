@@ -3,16 +3,18 @@
 ``ref_expand`` is the earlier forward search: it builds every level up to the
 leaf budget (stopping at the first level that holds the target's class) and
 keeps the first join that reaches each class.  ``construct_dissection`` now
-builds levels only up to budget - 2 and settles the last two levels by
-residual lookup, the last one recursively, and must return the same tree, or
-None, for every target and budget: at the minimal leaf count the first hit
-lies on one of those levels, where the tie-break between joins decides the
-tree.  ``reachable_ratios`` still builds every level but keeps no inverses
-for the last one, so it must return the same classes.
+builds levels only up to min(budget - 2, ``CACHED_LEVELS``) and settles every
+level above them by residual lookup, recursively through the levels it did
+not build (at budget 11 through levels 10, 9 and 8), and must return the
+same tree, or None, for every target and budget: at the minimal leaf count
+the first hit lies on a looked-up level, where the tie-break between joins
+decides the tree.  ``reachable_ratios`` still builds every level but keeps
+no inverses for the last one, so it must return the same classes.
 
 Both keep each tile class's levels up to ``CACHED_LEVELS`` across calls, so
 the same checks run again on warm, shared and evicted tables, and from a
-few threads at once.
+few threads at once.  Spies on ``_build_level`` and ``_first_join`` show
+which levels a search builds and which it looks up.
 """
 
 import random
@@ -319,6 +321,42 @@ def test_rank_decides_between_two_unbuilt_residuals(p):
                 assert construct_dissection(y, r, n) == _build_tree(nodes, key, inv), (p, n, key)
 
 
+@cache
+def unit_table():
+    """r = 1, the forward build to 11 tiles, and its levels: the unit tile
+    reaches only 3,028 classes at levels 8-11, so the build takes about
+    0.02 s."""
+    r = FieldParam(2).one
+    nodes, levels, _ = ref_expand(r, 11, None)
+    return r, nodes, levels
+
+
+def test_unit_tile_lookups_through_up_to_three_unbuilt_levels():
+    # at budget 11 a level-11 class is looked up through levels 10, 9 and 8
+    r, nodes, levels = unit_table()
+    rng = random.Random("unit")
+    for level in range(8, 12):
+        for key in sample(rng, levels[level], 12):
+            for y, inv in targets(r, key):
+                want = _build_tree(nodes, key, inv)
+                for budget in (10, 11):
+                    if budget >= level:
+                        assert construct_dissection(y, r, budget) == want, (budget, key)
+                assert construct_dissection(y, r, level - 1) is None, key
+
+
+@pytest.mark.parametrize("p", SILVER_PS)
+def test_silver_levels_eight_and_nine_at_budgets_ten_and_eleven(p):
+    r, nodes, levels, _ = silver_table(p)
+    rng = random.Random(f"deep|{p}")
+    for level in (8, 9):
+        for key in sample(rng, levels[level], 4):
+            for y, inv in targets(r, key):
+                want = _build_tree(nodes, key, inv)
+                for budget in (10, 11):
+                    assert construct_dissection(y, r, budget) == want, (p, budget, key)
+
+
 def certified_miss(field, r):
     """A target the decision procedure proves untileable."""
     rng = random.Random(f"certified|{field.p}")
@@ -329,7 +367,7 @@ def certified_miss(field, r):
             return y
 
 
-@pytest.mark.parametrize("budget", range(1, TOP + 1))
+@pytest.mark.parametrize("budget", range(1, 12))
 def test_miss_builds_no_level_beyond_budget_minus_two(budget, monkeypatch, cold_cache):
     field = FieldParam(2)
     r = field.one + field.sqrt_p
@@ -344,11 +382,12 @@ def test_miss_builds_no_level_beyond_budget_minus_two(budget, monkeypatch, cold_
     monkeypatch.setattr(constructor, "_tile_level", spy)
     built = spy_builds(monkeypatch)
     assert construct_dissection(y, r, budget) is None
-    # max(0, budget - 3) builds, of levels 2 to budget - 2
-    assert built == list(range(2, budget - 1))
+    # builds of levels 2 to min(budget - 2, CACHED_LEVELS), none above 7
+    top = min(budget - 2, constructor.CACHED_LEVELS)
+    assert built == list(range(2, top + 1))
     [(nodes, levels, _inv_of)] = tables
     assert _canon(y.key, field.radicand)[0] not in nodes
-    assert len(levels) - 1 == max(1, budget - 2)
+    assert len(levels) - 1 == max(1, top)
     assert len(nodes) == sum(map(len, levels))
     assert set(nodes) == {k for keys in levels for k in keys}
 
@@ -373,10 +412,8 @@ def test_hit_builds_up_to_its_level_and_stops(level, monkeypatch, cold_cache):
             assert built == []
 
 
-def test_nine_tile_miss_creates_no_level_eight_class(monkeypatch):
-    field = FieldParam(2)
-    r = field.one + field.sqrt_p
-    y = certified_miss(field, r)
+def spy_lookups(monkeypatch):
+    """(level, result) of each ``_first_join`` call, the recursive ones too."""
     calls = []
     first_join = constructor._first_join
 
@@ -386,11 +423,55 @@ def test_nine_tile_miss_creates_no_level_eight_class(monkeypatch):
         return found
 
     monkeypatch.setattr(constructor, "_first_join", spy)
+    return calls
+
+
+def test_nine_tile_miss_creates_no_level_eight_class(monkeypatch):
+    field = FieldParam(2)
+    r = field.one + field.sqrt_p
+    y = certified_miss(field, r)
+    calls = spy_lookups(monkeypatch)
     assert construct_dissection(y, r, 9) is None
     # level 8 is only ever probed, for the level-1 residuals of level 9
     assert sorted({n for n, _ in calls}) == [8, 9]
     assert sum(n == 8 for n, _ in calls) > 1
     assert all(found is None for _, found in calls)
+
+
+def test_eleven_tile_miss_only_looks_up_levels_eight_to_eleven(monkeypatch):
+    field = FieldParam(2)
+    r = field.one + field.sqrt_p
+    y = certified_miss(field, r)
+    built = spy_builds(monkeypatch)
+    calls = spy_lookups(monkeypatch)
+    assert construct_dissection(y, r, 11) is None
+    assert all(level <= constructor.CACHED_LEVELS for level in built)
+    # levels 8-10 are probed again below level 11, for the residuals there
+    assert sorted({n for n, _ in calls}) == [8, 9, 10, 11]
+    assert [n for n, _ in calls].count(11) == 1
+    assert sum(n == 8 for n, _ in calls) > 1
+    assert all(found is None for _, found in calls)
+
+
+@pytest.mark.parametrize("cached", [2, 4])
+def test_fewer_cached_levels_give_the_same_trees(cached, monkeypatch, cold_cache):
+    # With c cached levels the lookups reach budget 2c + 1 through up to c
+    # unbuilt levels; one tile more would scan a level above c, so the
+    # search ends there.
+    monkeypatch.setattr(constructor, "CACHED_LEVELS", cached)
+    r, nodes, levels, _ = silver_table(2)
+    top = 2 * cached + 1
+    rng = random.Random(f"cached|{cached}")
+    for level in range(cached + 1, top + 1):
+        for key in sample(rng, levels[level], 2):
+            for y, inv in targets(r, key):
+                assert construct_dissection(y, r, top) == _build_tree(nodes, key, inv)
+                assert construct_dissection(y, r, level - 1) is None
+    y = Quad(levels[2][0], r.field)
+    assert construct_dissection(y, r, top + 1) == _build_tree(nodes, levels[2][0], False)
+    with pytest.raises(ValueError, match=f"no witness within {top} tiles"):
+        construct_dissection(certified_miss(r.field, r), r, top + 1)
+    cold_cache()
 
 
 def reference(p, tile, y, budget):
@@ -474,7 +555,7 @@ def test_budgets_ten_and_eleven_leave_the_cached_levels_unchanged(cold_cache):
     nodes, levels_before, inv_of = cached_tables(r)
     before = dict(nodes), [list(keys) for keys in levels_before], dict(inv_of)
     assert construct_dissection(miss, r, 10) is None
-    # level 8 is built past the cache, into a private copy
+    # levels 8 and above are looked up, and no search builds them
     key = sample(random.Random("deep"), levels[8], 1)[0]
     y = Quad(key, r.field)
     assert construct_dissection(y, r, 11) == reference(2, r, y, TOP)
