@@ -39,8 +39,8 @@ __all__ = ["run", "main"]
 
 # A search builds no level above 7 tiles and looks the rest up, recursively
 # through the levels it did not build; the lookups grow about fivefold per
-# tile.  A miss at 11 takes about 0.05 s in-process, and a fresh CLI process
-# 0.2 s and 18 MB peak RSS (Python 3.11, shared 2-vCPU x86-64 host).
+# tile.  A miss at 11 takes about 0.02 s in-process, and a fresh CLI process
+# 0.1-0.2 s and 18 MB peak RSS (Python 3.11, shared 2-vCPU x86-64 host).
 MAX_CONSTRUCT_LEAVES = 11
 
 

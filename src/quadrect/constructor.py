@@ -15,9 +15,11 @@ level m - i, so the target's residuals against the few classes of levels up
 to m/2 are looked up among level m - i instead, in the order the build
 would have met them, which gives the same first tree.  A residual that would
 lie at an unbuilt level is settled by the same lookup there, whose join's
-rank orders it as its position there would.  A miss is only a miss: the
-search is depth-bounded and guillotine-only, so NotFound (None) never
-proves impossibility; the decision procedure is the authority on that.
+rank orders it as its position there would; a search keeps each lookup's
+result, so a (class, level) pair that several residuals reach is settled
+once.  A miss is only a miss: the search is depth-bounded and
+guillotine-only, so NotFound (None) never proves impossibility; the
+decision procedure is the authority on that.
 
 Levels up to ``CACHED_LEVELS`` (7) tiles depend only on the tile class, so
 the tables of the ``CACHED_CLASSES`` (4) classes used last are kept for the
@@ -32,10 +34,13 @@ lookup, which a later build of their level must not find.
 The search runs on the bare canonical keys (A, B, D) that ``Quad`` stores
 (see ``exactfield``), through the same key functions, so the hot loop is
 plain integer gcd arithmetic with no object per candidate; results are
-wrapped back into ``Quad`` without conversion.  The reachable sets are closed
-under inversion (both composition rules commute with it), so only one
-representative per {x, 1/x} class is stored; the mirror tree (joins swapped,
-leaf orientations flipped) realizes the inverse ratio.
+wrapped back into ``Quad`` without conversion.  Every stored class is its own
+representative, so of the four sums a pair of classes x, y >= 1 makes, only
+1/x + 1/y can fall below 1; the builder adds them inline and tests the sign
+of that one alone.  The reachable sets are closed under inversion (both
+composition rules commute with it), so only one representative per
+{x, 1/x} class is stored; the mirror tree (joins swapped, leaf orientations
+flipped) realizes the inverse ratio.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ from __future__ import annotations
 import threading
 from collections import ChainMap, OrderedDict
 from dataclasses import dataclass
+from itertools import islice
+from math import gcd
 from typing import Mapping, Union
 
 from .exactfield import Key, Quad, int_sign, key_add, key_inv
@@ -165,35 +172,39 @@ def _build_level(
     n = len(levels)
     for ck in levels[n - 1]:
         inv_of[ck] = key_inv(ck, P)
-    new: list[Key] = []
+    # the classes this build adds to ``nodes``, in order, are level n
+    first = len(nodes)
     for i in range(1, n // 2 + 1):
-        j = n - i
-        li, lj = levels[i], levels[j]
-        if i == j:
-            pairs = ((li[x], li[y]) for x in range(len(li)) for y in range(x, len(li)))
-        else:
-            pairs = ((x, y) for x in li for y in lj)
-        for xkey, ykey in pairs:
-            xinv = inv_of[xkey]
-            yinv = inv_of[ykey]
-            for ux, uy, code in (
-                (xkey, ykey, 0),
-                (xkey, yinv, _FY),
-                (xinv, ykey, _FX),
-                (xinv, yinv, _FX | _FY),
-            ):
-                s = key_add(ux, uy)
-                # _canon spelled out: calling it here slows a 9-tile enumeration by 3-5%
-                if int_sign(s[0] - s[2], s[1], P) >= 0:
-                    ck = s
+        ys = [(y, *y, *inv_of[y]) for y in levels[n - i]]
+        for xi, x in enumerate(levels[i]):
+            a1, b1, d1 = x
+            a3, b3, d3 = inv_of[x]
+            # Every stored class is its own representative, so x, y >= 1:
+            # x + y, x + 1/y and 1/x + y exceed 1 and are their class's
+            # representative as they are, and only 1/x + 1/y needs the sign
+            # test.  Each sum is key_add spelled out, less key_norm's sign
+            # flip (both denominators are positive), in join-code order.
+            for y, a2, b2, d2, a4, b4, d4 in ys[xi:] if 2 * i == n else ys:
+                a, b, d = a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2
+                g = gcd(a, b, d)
+                ck = (a // g, b // g, d // g) if g > 1 else (a, b, d)
+                nodes.setdefault(ck, (x, y, 0))
+                a, b, d = a1 * d4 + a4 * d1, b1 * d4 + b4 * d1, d1 * d4
+                g = gcd(a, b, d)
+                ck = (a // g, b // g, d // g) if g > 1 else (a, b, d)
+                nodes.setdefault(ck, (x, y, _FY))
+                a, b, d = a3 * d2 + a2 * d3, b3 * d2 + b2 * d3, d3 * d2
+                g = gcd(a, b, d)
+                ck = (a // g, b // g, d // g) if g > 1 else (a, b, d)
+                nodes.setdefault(ck, (x, y, _FX))
+                a, b, d = a3 * d4 + a4 * d3, b3 * d4 + b4 * d3, d3 * d4
+                g = gcd(a, b, d)
+                ck = (a // g, b // g, d // g) if g > 1 else (a, b, d)
+                if int_sign(a - d, b, P) < 0:
+                    nodes.setdefault(key_inv(ck, P), (x, y, _FX | _FY | _OUTER))
                 else:
-                    ck = key_inv(s, P)
-                    code |= _OUTER
-                if ck in nodes:
-                    continue
-                nodes[ck] = (xkey, ykey, code)
-                new.append(ck)
-    levels.append(new)
+                    nodes.setdefault(ck, (x, y, _FX | _FY))
+    levels.append(list(islice(nodes, first, None)))
 
 
 def _tables(rep: Key, P: int, n: int) -> Tables:
@@ -222,6 +233,7 @@ def _first_join(
     levels: list[list[Key]],
     found: dict,
     indexes: dict[int, dict[Key, int]],
+    memo: dict,
     P: int,
 ) -> tuple[tuple, tuple] | None:
     """The record that building level n would write for the class t >= 1,
@@ -245,9 +257,11 @@ def _first_join(
     there.  That lookup's precondition holds: a residual at a level k below
     n - i would put t at level i + k < n, so by induction it holds for every
     residual the recursion visits.  Each lookup that settles a residual
-    puts its winning record into ``found``.  ``indexes`` caches each built
-    level's {key: index} map.  The inverses of the few classes scanned, at
-    levels up to n/2, are computed here.
+    puts its winning record into ``found``, and ``memo`` keeps each
+    lookup's result by (class, level), so another residual path to the same
+    pair reuses it.  ``indexes`` caches each built level's {key: index} map.
+    The inverses of the few classes scanned, at levels up to n/2, are
+    computed here.
     """
     sums = [(t, 0)]
     if t != (1, 0, 1):
@@ -273,7 +287,10 @@ def _first_join(
                             continue
                         ynode = None
                     else:
-                        hit = _first_join(ykey, j, levels, found, indexes, P)
+                        if (ykey, j) not in memo:
+                            memo[ykey, j] = _first_join(
+                                ykey, j, levels, found, indexes, memo, P)
+                        hit = memo[ykey, j]
                         if hit is None:
                             continue
                         ynode, y = hit
@@ -332,6 +349,7 @@ def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTr
     # table lies beyond it.
     built = len(levels) - 1
     indexes: dict[int, dict[Key, int]] = {}
+    memo: dict = {}
     if tkey not in nodes:
         for n in range(built + 1, max_leaves + 1):
             if n <= min(max_leaves - 2, CACHED_LEVELS):
@@ -343,7 +361,8 @@ def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTr
                 raise ValueError(
                     f"no witness within {n - 1} tiles; the search reaches no further")
             else:
-                hit = _first_join(tkey, n, levels, found, indexes, P)
+                hit = _first_join(tkey, n, levels, found, indexes, memo, P)
+                memo[tkey, n] = hit
                 if hit is not None:
                     found[tkey] = hit[0]
                     break

@@ -54,10 +54,18 @@ def excerpt(text: str) -> str:
     return f"{text[:_EXCERPT_CHARS]}... ({len(text)} characters)"
 
 
+# Longest rational literal read, sign and slash included.  Each output number
+# is a quotient of integer polynomials of total degree <= 27 in the literals'
+# parts (a ``decide hole`` discriminant), so it has <= 27 * 150 + 3 digits,
+# under CPython's 4,300-digit limit on writing an int.
+MAX_LITERAL_CHARS = 150
+
+
 def _rat_parts(text: object) -> tuple[int, int]:
     """(numerator, denominator) of ``[+-]digits[/digits]`` (ASCII digits,
-    surrounding whitespace ignored).  The denominator is read and checked
-    for zero before the numerator is converted."""
+    surrounding whitespace ignored), at most ``MAX_LITERAL_CHARS`` long
+    once stripped.  The denominator is checked for zero before the length,
+    and both before any digit is converted."""
     if not isinstance(text, str):
         raise ValueError(f"rational literal must be a string, got {excerpt(repr(text))}")
     s = text.strip()
@@ -65,10 +73,12 @@ def _rat_parts(text: object) -> tuple[int, int]:
     digits = num[1:] if num[:1] in ("+", "-") else num
     if not (s.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
         raise ValueError(f"malformed rational literal: {excerpt(repr(text))}")
-    d = int(den) if slash else 1
-    if d == 0:
+    if slash and not den.strip("0"):
         raise ValueError(f"zero denominator in rational literal: {excerpt(repr(text))}")
-    return int(num), d
+    if len(s) > MAX_LITERAL_CHARS:
+        raise ValueError(f"rational literal longer than {MAX_LITERAL_CHARS} characters:"
+                         f" {excerpt(repr(text))}")
+    return int(num), int(den) if slash else 1
 
 
 def parse_rat(text: str) -> Fraction:

@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +11,7 @@ import pytest
 
 from quadrect import Dissection, FieldParam, format_rat, pinwheel_dissection, verify_tiling
 from quadrect.cli import run
+from quadrect.exactfield import MAX_LITERAL_CHARS
 from quadrect.jsonio import (
     Instance,
     dumps,
@@ -148,10 +151,15 @@ class TestDecideCommands:
         "flags, message",
         [
             ([f"--y={'9' * 5000}x", "--p=2"], "malformed field-element literal: '9999"),
-            (["--y=1", f"--p=-{'9' * 4000}"], "field parameter must be positive, got -9999"),
+            (["--y=1", f"--p=-{'9' * (MAX_LITERAL_CHARS - 1)}"],
+             "field parameter must be positive, got -9999"),
             (["--y=1", f"--p={'9' * 5000}/0"], "zero denominator in rational literal: '9999"),
+            (["--y=1", f"--p=-{'9' * 4000}"],
+             f"rational literal longer than {MAX_LITERAL_CHARS} characters: '-999"),
+            ([f"--y=1/{'7' * 5000} + 1*sqrt", "--p=2"],
+             f"rational literal longer than {MAX_LITERAL_CHARS} characters: '1/777"),
         ],
-        ids=["y_literal", "negative_p", "zero_denominator"],
+        ids=["y_literal", "negative_p", "zero_denominator", "long_p", "long_y"],
     )
     def test_long_literal_echo_is_bounded(self, capsys, flags, message):
         assert run(["decide", "rect", "--r=1", *flags]) == 2
@@ -304,6 +312,66 @@ class TestVerifyCompleteConstruct:
                     "--max-leaves", "11"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["leaves"] == 1
+
+
+def seeded_literal(rng, numerator_digits, chars=MAX_LITERAL_CHARS):
+    """A rational literal of exactly ``chars`` characters."""
+    den = chars - 1 - numerator_digits
+    return (f"{rng.randint(10 ** (numerator_digits - 1), 10 ** numerator_digits - 1)}"
+            f"/{rng.randint(10 ** (den - 1), 10 ** den - 1)}")
+
+
+def cap_literals(last_chars=MAX_LITERAL_CHARS):
+    """p, two field elements and a tile ratio, every literal at the cap
+    but the tile ratio's last, which has ``last_chars`` characters.  The
+    digit splits came from a seeded search for long certificates."""
+    rng = random.Random("cap")
+    p = seeded_literal(rng, 1)
+    outer = (seeded_literal(rng, 10), seeded_literal(rng, 100))
+    inner = (seeded_literal(rng, 2), seeded_literal(rng, 3))
+    r = f"{seeded_literal(rng, 148)} - {seeded_literal(rng, 10, last_chars)}*sqrt"
+    return p, outer, inner, r
+
+
+class TestLiteralCap:
+    """Every output of literals at the cap fits under CPython's 4,300-digit
+    limit on writing an int; one character more is an input error."""
+
+    def check(self, capsys, argv, over):
+        code = run(argv)
+        captured = capsys.readouterr()
+        if over:
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith(
+                f"error: rational literal longer than {MAX_LITERAL_CHARS} characters: '")
+            assert len(captured.err) < 200
+            return
+        assert code == 1, captured.err
+        assert json.loads(captured.out)["certificate"] is not None
+        # the certificate comes close to the limit the cap is chosen for
+        assert 2500 < max(map(len, re.findall("[0-9]+", captured.out))) < 4300
+
+    @pytest.mark.parametrize("over", [False, True], ids=["at_cap", "one_over"])
+    def test_decide_hole(self, capsys, over):
+        p, (ua, ub), (va, vb), r = cap_literals(MAX_LITERAL_CHARS + over)
+        self.check(capsys, ["decide", "hole", f"--u={ua} + {ub}*sqrt",
+                            f"--v={va} - {vb}*sqrt", f"--r={r}", f"--p={p}"], over)
+
+    @pytest.mark.parametrize("over", [False, True], ids=["at_cap", "one_over"])
+    def test_decide_polygon_instance(self, capsys, tmp_path, over):
+        # one tile that is the whole region, its width one character over
+        # the cap in the second case
+        p, (wa, wb), (ha, hb), r = cap_literals()
+        if over:
+            wb = f"{wb}7"
+        w, h, zero = {"a": wa, "b": wb}, {"a": ha, "b": hb}, {"a": "0", "b": "0"}
+        doc = {"p": p,
+               "region": {"loops": [[[zero, zero], [w, zero], [w, h], [zero, h]]]},
+               "tiles": [{"x": zero, "y": zero, "w": w, "h": h}]}
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(doc))
+        self.check(capsys, ["decide", "polygon", "--instance", str(path), f"--r={r}"], over)
 
 
 class TestInvariantsCommands:

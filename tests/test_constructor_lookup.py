@@ -14,7 +14,10 @@ no inverses for the last one, so it must return the same classes.
 Both keep each tile class's levels up to ``CACHED_LEVELS`` across calls, so
 the same checks run again on warm, shared and evicted tables, and from a
 few threads at once.  Spies on ``_build_level`` and ``_first_join`` show
-which levels a search builds and which it looks up.
+which levels a search builds and which it looks up, and that a search looks
+each (class, level) pair up once.  ``_build_level``, which adds keys inline
+and sign-tests one orientation sum in four, must build the reference's
+tables entry for entry, join records and order included.
 """
 
 import random
@@ -611,3 +614,85 @@ def test_threads_on_a_cold_cache_match_a_serial_run(cold_cache):
         assert [got[i] for i in range(len(jobs))] == serial
     for p in (2, 3):
         assert_consistent(cached_tables(silver_table(p)[0]))
+
+
+def built_tables(r, top):
+    """The tables of r's class built to level ``top`` by ``_build_level``,
+    from a fresh start rather than the process-wide cache."""
+    P = r.field.radicand
+    tables = constructor._tile_level(_canon(r.key, P)[0])
+    while len(tables[1]) <= top:
+        constructor._build_level(*tables, P)
+    return tables
+
+
+def build_cases():
+    out = []
+    for p in (Fraction(2), Fraction(3), Fraction(5, 2)):
+        field = FieldParam(p)
+        silver = field.one + field.sqrt_p
+        tiles = {"one": field.one, "two": field.quad(2), "half": field.quad(Fraction(1, 2)),
+                 "silver": silver, "silver_inv": field.one / silver}
+        for name, r in tiles.items():
+            out.append(pytest.param(r, id=f"p{p}-{name}".replace("/", "_")))
+    return out
+
+
+@pytest.mark.parametrize("r", build_cases())
+def test_built_tables_match_the_forward_reference(r):
+    # The builder adds three of the four orientation sums without a sign
+    # test; the tables must still be the reference's, order and records.
+    P = r.field.radicand
+    nodes, levels, inv_of = built_tables(r, 8)
+    ref_nodes, ref_levels, _ = ref_expand(r, 8, None)
+    assert levels == ref_levels
+    rep = levels[1][0]
+    # only the leaf record tells r from 1/r; the build starts from the class
+    assert nodes[rep] == (None, None, False)
+    assert list(nodes.items())[1:] == list(ref_nodes.items())[1:]
+    assert inv_of == {k: key_inv(k, P) for keys in levels[:8] for k in keys}
+    # every stored class is its own representative, which is what lets the
+    # builder skip the sign test of x + y, x + 1/y and 1/x + y
+    for keys in levels:
+        for a, b, d in keys:
+            assert int_sign(a - d, b, P) >= 0
+
+
+def test_half_plus_half_is_the_unit_class_uninverted():
+    # For r = 2, 1/2 + 1/2 = 1 is the one sum whose sign test reads 0: it is
+    # stored as it is, with no outer inversion.
+    field = FieldParam(2)
+    nodes, levels, _ = built_tables(field.quad(2), 2)
+    assert levels[2] == [(4, 0, 1), (5, 0, 2), (1, 0, 1)]
+    assert nodes[1, 0, 1] == ((2, 0, 1), (2, 0, 1), _FX | _FY)
+
+
+@pytest.mark.parametrize("budget", [10, 11])
+def test_each_lookup_is_settled_once_per_search(budget, monkeypatch):
+    # Different residual paths reach the same (class, level) pair; the
+    # search's memo settles each pair once and returns the same trees.
+    unit, _unit_nodes, unit_levels = unit_table()
+    silver, _nodes, silver_levels, _ = silver_table(2)
+    rng = random.Random(f"memo|{budget}")
+    jobs = [(y, unit, ref_construct(y, unit, budget))
+            for level in range(budget - 3, budget + 1)
+            for key in sample(rng, unit_levels[level], 3)
+            for y, _inv in targets(unit, key)]
+    jobs += [(y, silver, reference(2, silver, y, budget))
+             for level in (8, 9) for key in sample(rng, silver_levels[level], 2)
+             for y, _inv in targets(silver, key)]
+    jobs.append((certified_miss(silver.field, silver), silver, None))
+    pairs = []
+    first_join = constructor._first_join
+
+    def spy(t, n, *rest):
+        pairs.append((t, n))
+        return first_join(t, n, *rest)
+
+    monkeypatch.setattr(constructor, "_first_join", spy)
+    for y, r, want in jobs:
+        pairs.clear()
+        assert construct_dissection(y, r, budget) == want, (str(y), str(r))
+        assert len(pairs) == len(set(pairs)), (str(y), str(r))
+    # the last job, a miss, recursed through every level from 8 to budget
+    assert sorted({n for _t, n in pairs}) == list(range(8, budget + 1))

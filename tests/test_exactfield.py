@@ -16,7 +16,7 @@ from quadrect import (
     parse_rat,
     separation_certificate,
 )
-from quadrect.exactfield import _rat_parts, excerpt
+from quadrect.exactfield import MAX_LITERAL_CHARS, _rat_parts, excerpt
 
 F2 = FieldParam(2)
 
@@ -233,6 +233,9 @@ def _rat_parts_re(text: object) -> tuple[int, int]:
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise ValueError(f"zero denominator in rational literal: {excerpt(repr(text))}")
+    if len(text.strip()) > MAX_LITERAL_CHARS:
+        raise ValueError(f"rational literal longer than {MAX_LITERAL_CHARS} characters:"
+                         f" {excerpt(repr(text))}")
     return int(m.group(1)), den
 
 
@@ -249,6 +252,32 @@ LITERAL_CORPUS = [
     "３/４", "²", "9" * 50 + "/" + "7" * 40, "9" * 5000 + "/0", "-" + "9" * 5000,
     " -12/08", "+007",
 ]
+
+
+class TestLiteralCap:
+    """A rational literal is at most ``MAX_LITERAL_CHARS`` long once
+    stripped; a longer one gets a message that names the cap, never
+    CPython's digit-limit error, however long its parts are."""
+
+    @pytest.mark.parametrize("sign", ["", "-", "+"])
+    def test_at_and_one_over_the_cap(self, sign):
+        body = "7" * (MAX_LITERAL_CHARS - len(sign) - 4)
+        at = f" {sign}{body}/123\n"
+        assert len(at.strip()) == MAX_LITERAL_CHARS
+        assert parse_rat(at) == Fraction(int(sign + body), 123)
+        over = f"{sign}{body}/1234"
+        with pytest.raises(ValueError, match=f"^rational literal longer than {MAX_LITERAL_CHARS} "
+                                             f"characters: '{re.escape(over[:20])}"):
+            parse_rat(over)
+
+    @pytest.mark.parametrize("text", ["1/" + "7" * 5000, "7" * 5000 + "/3", "-" + "7" * 5000])
+    def test_parts_beyond_cpython_limit(self, text):
+        with pytest.raises(ValueError, match=f"^rational literal longer than {MAX_LITERAL_CHARS} "):
+            parse_rat(text)
+
+    def test_zero_denominator_is_found_first(self):
+        with pytest.raises(ValueError, match="^zero denominator"):
+            parse_rat("7" * 5000 + "/" + "0" * 3)
 
 
 class TestRatFastPath:
