@@ -7,124 +7,20 @@ negative answers, completes polygons to bounding rectangles, and searches
 for explicit witness dissections by bounded guillotine composition.
 """
 
-from .completion import Completion, complete_to_rectangle, verify_complement
-from .constructor import (
-    CompositionTree,
-    HJoin,
-    Leaf,
-    VJoin,
-    construct_dissection,
-    leaf_count,
-    ratio_class_rep,
-    reachable_ratios,
-    realize_tree,
-    tree_ratio,
-)
-from .decision import (
-    CASE_CONJUGATE_NEGATIVE,
-    CASE_CONJUGATE_POSITIVE,
-    NOT_IN_FIELD,
-    NotInField,
-    SquareWithHoleDecision,
-    UnequalTilesError,
-    Verdict,
-    decide_polygon,
-    decide_rect_ratio,
-    decide_square_with_hole,
-)
-from .exactfield import (
-    FieldParam,
-    Quad,
-    format_quad,
-    format_rat,
-    parse_quad,
-    parse_rat,
-)
-from .geometry import (
-    CellGrid,
-    CellIssue,
-    Dissection,
-    InvalidDissectionError,
-    Point,
-    Polygon,
-    Rect,
-    VerifyReport,
-    build_cell_grid,
-    pinwheel_dissection,
-    polygon_area,
-    rect_ratio,
-    square_with_hole_polygon,
-    tiles_equal,
-    verify_tiling,
-)
-from .invariants import (
-    ABCParams,
-    Basis,
-    BasisVector,
-    QuadPoly,
-    SeparationCertificate,
-    abc_area_polygon,
-    abc_area_rect,
-    separation_certificate,
-    z_area,
-    z_area_additivity_check,
-)
+from .completion import *
+from .constructor import *
+from .decision import *
+from .exactfield import *
+from .geometry import *
+from .invariants import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ABCParams",
-    "Basis",
-    "BasisVector",
-    "CASE_CONJUGATE_NEGATIVE",
-    "CASE_CONJUGATE_POSITIVE",
-    "CellGrid",
-    "CellIssue",
-    "Completion",
-    "CompositionTree",
-    "Dissection",
-    "FieldParam",
-    "HJoin",
-    "InvalidDissectionError",
-    "Leaf",
-    "NOT_IN_FIELD",
-    "NotInField",
-    "Point",
-    "Polygon",
-    "Quad",
-    "QuadPoly",
-    "Rect",
-    "SeparationCertificate",
-    "SquareWithHoleDecision",
-    "UnequalTilesError",
-    "VJoin",
-    "Verdict",
-    "VerifyReport",
-    "abc_area_polygon",
-    "abc_area_rect",
-    "build_cell_grid",
-    "complete_to_rectangle",
-    "construct_dissection",
-    "decide_polygon",
-    "decide_rect_ratio",
-    "decide_square_with_hole",
-    "format_quad",
-    "format_rat",
-    "leaf_count",
-    "parse_quad",
-    "parse_rat",
-    "pinwheel_dissection",
-    "polygon_area",
-    "ratio_class_rep",
-    "reachable_ratios",
-    "realize_tree",
-    "rect_ratio",
-    "separation_certificate",
-    "square_with_hole_polygon",
-    "tiles_equal",
-    "tree_ratio",
-    "verify_complement",
-    "verify_tiling",
-    "z_area",
-    "z_area_additivity_check",
-]
+__all__ = (
+    completion.__all__
+    + constructor.__all__
+    + decision.__all__
+    + exactfield.__all__
+    + geometry.__all__
+    + invariants.__all__
+)

@@ -61,9 +61,6 @@ class Point:
     def field(self) -> FieldParam:
         return self.x.field
 
-    def translate(self, dx: Quad, dy: Quad) -> Point:
-        return Point(self.x + dx, self.y + dy)
-
 
 @dataclass(frozen=True)
 class Rect:
@@ -116,9 +113,6 @@ class Rect:
             Point(o.x, self.y2),
         )
         return Polygon((loop,))
-
-    def translate(self, dx: Quad, dy: Quad) -> Rect:
-        return Rect(self.origin.translate(dx, dy), self.width, self.height)
 
 
 _T = TypeVar("_T")
@@ -253,11 +247,6 @@ class Polygon:
     def bounds(self) -> tuple[Quad, Quad, Quad, Quad]:
         xs, ys = self._xs, self._ys  # type: ignore[attr-defined]
         return xs[0], ys[0], xs[-1], ys[-1]
-
-    def translate(self, dx: Quad, dy: Quad) -> Polygon:
-        return Polygon(
-            tuple(tuple(p.translate(dx, dy) for p in loop) for loop in self.loops)
-        )
 
 
 @dataclass(frozen=True)

@@ -79,12 +79,6 @@ class BasisVector:
         if self.basis != other.basis:
             raise ValueError("basis mismatch")
 
-    def __add__(self, other: BasisVector) -> BasisVector:
-        self._check_same_basis(other)
-        return BasisVector(
-            self.basis, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
     def __sub__(self, other: BasisVector) -> BasisVector:
         self._check_same_basis(other)
         return BasisVector(

@@ -218,6 +218,23 @@ class TestDecideCommands:
                     "--r", "3"])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "width, tiles, message",
+        [
+            (2, [(0, 0, 1, 1)], "dissection failed verification (gap at cell (1, 0))"),
+            (3, [(0, 0, 1, 1), (1, 0, 2, 1)], "dissection tiles are not all congruent"),
+        ],
+        ids=["gap", "unequal"],
+    )
+    def test_polygon_rejected_dissection_exit_one(self, capsys, tmp_path, width, tiles, message):
+        region = rect_of(F2, 0, 0, width, 1).to_polygon()
+        path = tmp_path / "d.json"
+        save_instance(Dissection(region, tuple(rect_of(F2, *t) for t in tiles)), path)
+        assert run(["decide", "polygon", "--instance", str(path), "--r", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_hole_command(self, capsys):
         # Leading-dash values need the --flag=value spelling under argparse.
         code = run(["decide", "hole", "--u", "1", "--v=-1+1*sqrt",
@@ -381,6 +398,14 @@ class TestInvariantsCommands:
         assert code == 0
         assert capsys.readouterr().out.strip() == "(0) + (1) z + (0) z^2"
 
+    def test_zarea_sides_of_different_lengths_exit_two(self, capsys):
+        code = run(["invariants", "zarea", "--side1", "1;0", "--side2", "0;1;2",
+                    "--p", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: both sides need the same number of coordinates\n"
+
     def test_abc_output(self, capsys):
         code = run(["invariants", "abc", "--a", "1", "--b", "1", "--e", "2",
                     "--f", "1", "--p", "2"])
@@ -514,6 +539,18 @@ class TestRender:
         assert not out.exists()
         with pytest.raises(ValueError, match="at least one digit"):
             quad_to_decimal(F2.one, 0)
+
+
+    def test_precision_below_one_exits_two_and_writes_nothing(
+        self, capsys, tmp_path, pinwheel_file
+    ):
+        out = tmp_path / "p.svg"
+        assert run(["render", "--instance", str(pinwheel_file), "--out", str(out),
+                    "--precision", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: precision must be at least 1\n"
+        assert not out.exists()
 
 
 class TestLayering:

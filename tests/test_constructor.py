@@ -176,6 +176,8 @@ class TestSearchContract:
             construct_dissection(F2.quad(1, -1), SILVER, 8)
         with pytest.raises(ValueError):
             construct_dissection(F2.one, F2.quad(1, -1), 8)
+        with pytest.raises(ValueError, match="ratios must share one field parameter"):
+            construct_dissection(FieldParam(3).one, SILVER, 8)
 
     @pytest.mark.parametrize("p", [Fraction(5, 2), Fraction(3, 4)], ids=["5_2", "3_4"])
     def test_rational_field_param_kernel(self, p):

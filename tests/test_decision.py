@@ -19,6 +19,7 @@ from quadrect import (
     pinwheel_dissection,
     verify_tiling,
 )
+from quadrect.jsonio import verdict_to_json
 from quadrect.samples import point_of, random_rat, rect_of
 
 F2 = FieldParam(2)
@@ -66,6 +67,10 @@ class TestRectRatioDecision:
         assert not v.tileable
         assert v.witness_params is None
         assert v.certificate is None
+        assert verdict_to_json(v) == {
+            "tileable": False, "case": CASE_CONJUGATE_NEGATIVE,
+            "witness_params": None, "certificate": None,
+        }
 
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from fractions import Fraction
@@ -172,6 +173,24 @@ class TestArithmetic:
     def test_field_mismatch_raises(self):
         with pytest.raises(ValueError):
             F2.quad(1, 1) + FieldParam(3).quad(1, 1)
+
+    @pytest.mark.parametrize(
+        "op",
+        [operator.add, operator.sub, operator.mul, operator.truediv,
+         lambda x, y: y + x, lambda x, y: y - x, lambda x, y: y * x, lambda x, y: y / x],
+        ids=["add", "sub", "mul", "truediv", "radd", "rsub", "rmul", "rtruediv"],
+    )
+    def test_float_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(F2.quad(1, 1), 0.5)
+
+    def test_float_compares_unequal_and_unordered(self):
+        x = F2.quad(1, 0)
+        assert (x == 1.0) is False and (1.0 == x) is False
+        assert x != 1.0
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(x, 1.0)
 
     @given(quads)
     def test_scalar_promotion(self, x):

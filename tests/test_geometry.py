@@ -11,6 +11,7 @@ import pytest
 from quadrect import (
     Dissection,
     FieldParam,
+    Point,
     Polygon,
     Rect,
     build_cell_grid,
@@ -32,8 +33,10 @@ from quadrect.samples import (
     rect_of,
 )
 from region_reference import point_in_region_crossing, point_in_region_winding
+from translation import translate
 
 F2 = FieldParam(2)
+F3 = FieldParam(3)
 
 
 def unit_square() -> Polygon:
@@ -46,6 +49,21 @@ class TestConstruction:
             rect_of(F2, 0, 0, 0, 1)
         with pytest.raises(ValueError):
             Rect(point_of(F2, 0, 0), F2.quad(1, -1), F2.one)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Point(F2.one, F3.one), "point coordinates must share one field parameter"),
+            (lambda: Rect(point_of(F2, 0, 0), F2.one, F3.one),
+             "rectangle coordinates must share one field parameter"),
+            (lambda: square_with_hole_polygon(F2.quad(3), F3.one),
+             "u and v must share one field parameter"),
+        ],
+        ids=["point", "rect", "square_with_hole"],
+    )
+    def test_mixed_fields_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_irrational_but_positive_side_ok(self):
         r = Rect(point_of(F2, 0, 0), F2.quad(-1, 1), F2.one)
@@ -197,8 +215,8 @@ class TestVerify:
         assert verify_tiling(Dissection(base.region, tuple(shuffled))).valid
         dx, dy = random_quad(rng, F2), random_quad(rng, F2)
         moved = Dissection(
-            base.region.translate(dx, dy),
-            tuple(t.translate(dx, dy) for t in base.tiles),
+            translate(base.region, dx, dy),
+            tuple(translate(t, dx, dy) for t in base.tiles),
         )
         assert verify_tiling(moved).valid
 
@@ -261,6 +279,10 @@ class TestTilesEqual:
         )
         assert tiles_equal(d) is None
 
+    def test_no_tiles_raises(self):
+        with pytest.raises(ValueError, match="dissection has no tiles"):
+            tiles_equal(Dissection(unit_square(), ()))
+
     def test_equal_implies_equal_areas(self, rng):
         for _ in range(20):
             d = random_guillotine(rng, random_good_rect(rng, F2), max_depth=3)
@@ -287,6 +309,11 @@ class TestRectRatio:
         r = rect_of(F2, 0, 0, 1, 2)
         assert rect_ratio(r) == F2.quad(Fraction(1, 2))
         assert ratio_class_rep(rect_ratio(r)) == F2.quad(2)
+
+    @pytest.mark.parametrize("y", [F2.zero, F2.quad(1, -1)], ids=["zero", "negative"])
+    def test_class_rep_of_non_positive_ratio_raises(self, y):
+        with pytest.raises(ValueError, match="ratio must be positive"):
+            ratio_class_rep(y)
 
 
 class TestPointInRegion:

@@ -65,6 +65,21 @@ class TestZArea:
         with pytest.raises(ValueError):
             z_area(vec(B2, 1, 0), vec(B3, 1, 0, 0))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Basis(()), "basis needs at least one symbol"),
+            (lambda: Basis(("e1", "e2", "e1")), "basis symbols must be distinct"),
+            (lambda: BasisVector(B3, (F2.one,) * 4), "coordinate count must match the basis size"),
+            (lambda: BasisVector(B2, (F2.one, FieldParam(3).one)),
+             "coordinates must share one field parameter"),
+        ],
+        ids=["no_names", "duplicate_names", "wrong_count", "mixed_fields"],
+    )
+    def test_malformed_basis_or_vector_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_needs_two_symbols(self):
         b1 = Basis(("e1",))
         with pytest.raises(ValueError):

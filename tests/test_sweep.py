@@ -37,6 +37,7 @@ from quadrect.samples import (
     random_vector_guillotine,
 )
 from region_reference import point_in_region_crossing
+from translation import translate
 
 F2 = FieldParam(2)
 HALF = Fraction(1, 2)
@@ -151,13 +152,13 @@ def complement_variants(region, comp):
     bounding, added = comp.bounding, comp.added
     yield bounding, added
     yield bounding, added + (bounding,)
-    yield bounding.translate(F2.one, F2.zero), added
+    yield translate(bounding, F2.one, F2.zero), added
     # covers everything exactly once, but pokes out of the bounding box
-    yield bounding, added + (bounding.translate(bounding.width, F2.zero),)
+    yield bounding, added + (translate(bounding, bounding.width, F2.zero),)
     if added:
         yield bounding, added[:-1]
         yield bounding, added + added[:1]
-        yield bounding, added[:-1] + (added[-1].translate(bounding.width, F2.zero),)
+        yield bounding, added[:-1] + (translate(added[-1], bounding.width, F2.zero),)
 
 
 def assert_completion_matches(region):
@@ -182,7 +183,7 @@ def corrupt(rng, d, kind):
     else:
         # shifted right by the region's width, the copy lies wholly outside
         x0, _, x1, _ = d.region.bounds()
-        tiles.append(tiles[idx].translate(x1 - x0, F2.zero))
+        tiles.append(translate(tiles[idx], x1 - x0, F2.zero))
     return Dissection(d.region, tuple(tiles))
 
 
