@@ -57,7 +57,7 @@ def _cmd_decide_rect(ns: argparse.Namespace) -> int:
 
 def _cmd_decide_polygon(ns: argparse.Namespace) -> int:
     inst = load_instance(ns.instance)
-    verdict = decide_polygon(inst.dissection(), parse_quad(ns.r, inst.field))
+    verdict = decide_polygon(inst, parse_quad(ns.r, inst.field))
     _emit(verdict_to_json(verdict))
     return 0 if verdict.tileable else 1
 
@@ -72,7 +72,7 @@ def _cmd_decide_hole(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    report = verify_tiling(load_instance(ns.instance).dissection())
+    report = verify_tiling(load_instance(ns.instance))
     _emit(report_to_json(report))
     return 0 if report.valid else 1
 
@@ -130,7 +130,7 @@ def _cmd_invariants_abc(ns: argparse.Namespace) -> int:
 
 
 def _cmd_render(ns: argparse.Namespace) -> int:
-    svg = render_svg(load_instance(ns.instance).dissection(), ns.precision)
+    svg = render_svg(load_instance(ns.instance), ns.precision)
     with open(ns.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0

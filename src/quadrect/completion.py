@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import add
 from typing import Sequence
 
-from .geometry import Point, Polygon, Rect, build_cell_grid
+from .geometry import Point, Polygon, Rect, _box_counts, build_cell_grid
 
 __all__ = ["Completion", "complete_to_rectangle", "verify_complement"]
 
@@ -51,14 +52,13 @@ def complete_to_rectangle(region: Polygon) -> Completion:
 def verify_complement(region: Polygon, bounding: Rect, added: Sequence[Rect]) -> bool:
     """True iff every induced grid cell of the bounding rectangle lies in
     exactly one of the region and the added rectangles (and nothing pokes
-    outside the bounding rectangle)."""
+    outside the bounding rectangle).
+
+    One signed count: each added rectangle counts +1 and the bounding
+    rectangle -1, so the count plus the region's winding number must be
+    zero in every cell."""
     grid = build_cell_grid(region, (bounding, *added))
-    cover = grid.count_cover(added)
-    bi0, bi1, bj0, bj1 = grid.index_box(bounding)
-    for j, (flags, counts) in enumerate(zip(grid.inside, cover)):
-        in_rows = bj0 <= j < bj1
-        for i, (inside, c) in enumerate(zip(flags, counts)):
-            want = 1 if in_rows and bi0 <= i < bi1 else 0
-            if inside + c != want:
-                return False
-    return True
+    boxes = [(grid.index_box(r), 1) for r in added]
+    boxes.append((grid.index_box(bounding), -1))
+    count = _box_counts(boxes, grid.nx, grid.ny)
+    return not any(any(map(add, flags, row)) for flags, row in zip(grid.inside, count))

@@ -3,11 +3,12 @@
 A ``Polygon`` sorts its distinct x and y once and keeps each vertex as a
 grid node (i, j), so its contact and hole checks run on integers only.
 Verification merges the tile coordinates into that grid; one row sweep over
-grid indices decides which cells lie inside the region, and a 2-D difference
-array counts how many tiles cover each cell.  Exact arithmetic is needed only
-to sort and index coordinates and for areas.  Every failure names a witness
-cell whose midpoint stays inside the field, so any independent tool can
-re-check it with an exact point-in-region test on the loops' points.
+grid indices gives each cell its winding number, 1 inside the region and 0
+outside it, and a 2-D difference array counts how many tiles cover each
+cell.  Exact arithmetic is needed only to sort and index coordinates and
+for areas.  Every failure names a witness cell whose midpoint stays inside
+the field, so any independent tool can re-check it with an exact
+point-in-region test on the loops' points.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add
 from typing import Iterable, Iterator, Sequence, TypeVar
 
@@ -132,18 +133,20 @@ def _loop_area2(loop: Sequence[Point]) -> Quad:
     return total
 
 
-def _vertical_spans(loop: Sequence[Node]) -> Iterator[tuple[int, int, int]]:
-    """``(column, lo, hi)`` of each vertical edge of an index loop."""
+def _vertical_spans(loop: Sequence[Node]) -> Iterator[tuple[int, int, int, int]]:
+    """``(column, lo, hi, direction)`` of each vertical edge of an index loop,
+    with direction +1 for an edge going up and -1 for one going down."""
     for (i, j), (k, l) in _cycle_pairs(loop):
         if i == k:
-            yield (i, j, l) if j < l else (i, l, j)
+            yield (i, j, l, 1) if j < l else (i, l, j, -1)
 
 
 def _inside_loop(node: Node, loop: Sequence[Node]) -> bool:
-    """Crossing parity of the +x ray from a node not on the loop.  The
-    half-open row range counts a crossing through a shared vertex once."""
+    """Whether a node not on the loop has a nonzero winding number, the
+    signed crossings of its +x ray.  The half-open row range counts a
+    crossing through a shared vertex once."""
     i, j = node
-    return sum(k > i and lo <= j < hi for k, lo, hi in _vertical_spans(loop)) % 2 == 1
+    return sum(d for k, lo, hi, d in _vertical_spans(loop) if k > i and lo <= j < hi) != 0
 
 
 def _boundary_nodes(loop: Sequence[Node], height: int) -> set[int]:
@@ -172,6 +175,13 @@ class Polygon:
     """
 
     loops: tuple[tuple[Point, ...], ...]
+    outer_index: int = dataclasses.field(init=False, repr=False, compare=False)
+    _areas2: tuple[Quad, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    _xs: tuple[Quad, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    _ys: tuple[Quad, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    _index_loops: tuple[tuple[Node, ...], ...] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         loops = tuple(tuple(loop) for loop in self.loops)
@@ -231,7 +241,7 @@ class Polygon:
                     raise ValueError("holes must not be nested")
 
         object.__setattr__(self, "_areas2", tuple(areas2))
-        object.__setattr__(self, "_outer", outer)
+        object.__setattr__(self, "outer_index", outer)
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
         object.__setattr__(self, "_index_loops", index_loops)
@@ -240,12 +250,8 @@ class Polygon:
     def field(self) -> FieldParam:
         return self.loops[0][0].field
 
-    @property
-    def outer_index(self) -> int:
-        return self._outer  # type: ignore[attr-defined]
-
     def bounds(self) -> tuple[Quad, Quad, Quad, Quad]:
-        xs, ys = self._xs, self._ys  # type: ignore[attr-defined]
+        xs, ys = self._xs, self._ys
         return xs[0], ys[0], xs[-1], ys[-1]
 
 
@@ -261,6 +267,10 @@ class Dissection:
         object.__setattr__(self, "tiles", tuple(self.tiles))
         _require_one_field(self.region, self.tiles)
 
+    @property
+    def field(self) -> FieldParam:
+        return self.region.field
+
 
 def _require_one_field(region: Polygon, tiles: Iterable[Rect]) -> None:
     field = region.field
@@ -275,7 +285,7 @@ def _require_one_field(region: Polygon, tiles: Iterable[Rect]) -> None:
 def polygon_area(region: Polygon) -> Quad:
     """Exact area: shoelace sums with orientation signs, holes subtracting."""
     total = region.field.zero
-    for a2 in region._areas2:  # type: ignore[attr-defined]
+    for a2 in region._areas2:
         total = total + a2
     return total * _HALF
 
@@ -284,14 +294,15 @@ def polygon_area(region: Polygon) -> Quad:
 class CellGrid:
     """The coordinate grid induced by a region and a tile set.
 
-    ``inside[j][i]`` tells whether cell (i, j), spanning ``xs[i]..xs[i+1]``
-    by ``ys[j]..ys[j+1]``, lies in the region interior.  ``x_index`` and
-    ``y_index`` map each coordinate to its position in ``xs`` and ``ys``.
+    ``inside[j][i]`` is the winding number of cell (i, j), spanning
+    ``xs[i]..xs[i+1]`` by ``ys[j]..ys[j+1]``: 1 if it lies in the region
+    interior, else 0.  ``x_index`` and ``y_index`` map each coordinate to
+    its position in ``xs`` and ``ys``.
     """
 
     xs: tuple[Quad, ...]
     ys: tuple[Quad, ...]
-    inside: tuple[tuple[bool, ...], ...]
+    inside: tuple[tuple[int, ...], ...]
     x_index: dict[Quad, int] = dataclasses.field(compare=False, repr=False)
     y_index: dict[Quad, int] = dataclasses.field(compare=False, repr=False)
 
@@ -325,23 +336,24 @@ class CellGrid:
 
     def count_cover(self, rects: Iterable[Rect]) -> tuple[tuple[int, ...], ...]:
         """Number of the given grid-aligned rectangles covering each cell."""
-        return _box_counts(map(self.index_box, rects), self.nx, self.ny)
+        return _box_counts(zip(map(self.index_box, rects), repeat(1)), self.nx, self.ny)
 
 
 def _box_counts(
-    boxes: Iterable[tuple[int, int, int, int]], nx: int, ny: int
+    boxes: Iterable[tuple[tuple[int, int, int, int], int]], nx: int, ny: int
 ) -> tuple[tuple[int, ...], ...]:
-    """For each cell, how many index boxes ``[i0, i1) x [j0, j1)`` contain it.
+    """For each cell, the sum of the weights ``w`` of the index boxes
+    ``((i0, i1, j0, j1), w)`` whose ``[i0, i1) x [j0, j1)`` contains it.
 
     A 2-D difference array: four integer updates per box, then running sums
     along each row and down the columns, O(boxes + nx*ny) in all.
     """
     diff = [[0] * (nx + 1) for _ in range(ny + 1)]
-    for i0, i1, j0, j1 in boxes:
-        diff[j0][i0] += 1
-        diff[j0][i1] -= 1
-        diff[j1][i0] -= 1
-        diff[j1][i1] += 1
+    for (i0, i1, j0, j1), w in boxes:
+        diff[j0][i0] += w
+        diff[j0][i1] -= w
+        diff[j1][i0] -= w
+        diff[j1][i1] += w
     counts = []
     below = (0,) * nx
     for j in range(ny):
@@ -362,31 +374,30 @@ def _merge_axis(
 
 
 def build_cell_grid(region: Polygon, tiles: Sequence[Rect]) -> CellGrid:
-    """Sorted coordinate lists plus exact inside flags per induced cell.
+    """Sorted coordinate lists plus the winding number of each induced cell.
 
-    The flags come from a row sweep that applies the crossing-parity rule
-    for a +x ray to every cell midpoint at once.  A vertical edge at grid
-    column ``k`` spanning rows ``lo <= j < hi`` crosses the +x ray from a
-    midpoint in row ``j`` exactly when the cell lies left of the edge
-    (``i < k``), and the half-open row range is the ray's half-open rule
-    at the edge's endpoints.  So each edge contributes the index box
-    ``[0, k) x [lo, hi)``, and a cell is inside iff an odd number of boxes
-    cover it.  Parity over all loops at once equals the per-loop test
-    because holes are disjoint, not nested, and strictly inside the outer
-    loop.  The region's sorted axes and index loops are reused.
+    One row sweep counts the signed crossings of a +x ray from every cell
+    midpoint at once.  A vertical edge at grid column ``k`` spanning rows
+    ``lo <= j < hi`` crosses the ray from a midpoint in row ``j`` exactly
+    when the cell lies left of the edge (``i < k``), and the half-open row
+    range is the ray's half-open rule at the edge's endpoints.  So each edge
+    adds its direction (+1 up, -1 down) to the index box ``[0, k) x [lo,
+    hi)``, and a cell's sum is its winding number: 1 inside, and 0 outside
+    or in a hole, because ``Polygon`` requires the outer loop to have
+    positive area and each hole negative area.  The region's sorted axes
+    and index loops are reused.
     """
     _require_one_field(region, tiles)
     xs = {x for t in tiles for x in (t.x, t.x2)}
     ys = {y for t in tiles for y in (t.y, t.y2)}
-    sx, xi, xmap = _merge_axis(region._xs, xs)  # type: ignore[attr-defined]
-    sy, yi, ymap = _merge_axis(region._ys, ys)  # type: ignore[attr-defined]
+    sx, xi, xmap = _merge_axis(region._xs, xs)
+    sy, yi, ymap = _merge_axis(region._ys, ys)
     spans = (
-        (0, xmap[k], ymap[lo], ymap[hi])
-        for loop in region._index_loops  # type: ignore[attr-defined]
-        for k, lo, hi in _vertical_spans(loop)
+        ((0, xmap[k], ymap[lo], ymap[hi]), d)
+        for loop in region._index_loops
+        for k, lo, hi, d in _vertical_spans(loop)
     )
-    crossings = _box_counts(spans, len(sx) - 1, len(sy) - 1)
-    inside = tuple(tuple(c & 1 == 1 for c in row) for row in crossings)
+    inside = _box_counts(spans, len(sx) - 1, len(sy) - 1)
     return CellGrid(sx, sy, inside, xi, yi)
 
 
@@ -421,7 +432,7 @@ def verify_tiling(dissection: Dissection) -> VerifyReport:
     cover = grid.count_cover(tiles)
     issues = []
     for j, (flags, counts) in enumerate(zip(grid.inside, cover)):
-        if counts == flags:  # True == 1, False == 0: the row is clean
+        if counts == flags:  # the row is clean
             continue
         for i, (inside, c) in enumerate(zip(flags, counts)):
             if inside:

@@ -14,7 +14,6 @@ extra keys (``construct --out`` adds ``leaves``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -29,7 +28,7 @@ from .exactfield import (
     parse_rat,
     quad_from_rats,
 )
-from .geometry import Dissection, Point, Polygon, Rect, VerifyReport, _require_one_field
+from .geometry import Dissection, Point, Polygon, Rect, VerifyReport
 from .invariants import SeparationCertificate
 
 __all__ = [
@@ -49,17 +48,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Instance:
-    region: Polygon
-    tiles: tuple[Rect, ...]
-
-    def __post_init__(self) -> None:
-        _require_one_field(self.region, self.tiles)
-
-    @property
-    def field(self) -> FieldParam:
-        return self.region.field
+class Instance(Dissection):
+    """A ``Dissection`` read from a document."""
 
     def dissection(self) -> Dissection:
         return Dissection(self.region, self.tiles)
@@ -131,7 +121,7 @@ def _list_of(obj: Any, what: str) -> list:
     return obj
 
 
-def instance_to_json(inst: Dissection | Instance) -> dict[str, Any]:
+def instance_to_json(inst: Dissection) -> dict[str, Any]:
     """The document of a region and its tiles; ``"p"`` is the region's field."""
     return {
         "p": format_rat(inst.region.field.p),
@@ -177,7 +167,7 @@ def load_instance(path: str | Path) -> Instance:
     return instance_from_json(doc)
 
 
-def save_instance(inst: Dissection | Instance, path: str | Path) -> None:
+def save_instance(inst: Dissection, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(instance_to_json(inst)))
 

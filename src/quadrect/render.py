@@ -33,9 +33,7 @@ def quad_to_decimal(x: Quad, digits: int) -> str:
     root = Fraction(isqrt(p.numerator * p.denominator * scale * scale),
                     p.denominator * scale)
     value = x.a + x.b * root
-    whole, rem = divmod(abs(value) * scale, 1)
-    del rem
-    text = str(int(whole)).rjust(digits + 1, "0")
+    text = str(abs(value) * scale // 1).rjust(digits + 1, "0")
     head, tail = text[:-digits], text[-digits:].rstrip("0")
     sign = "-" if value < 0 else ""
     return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"
@@ -48,8 +46,6 @@ def render_svg(dissection: Dissection, precision: int = 30) -> str:
     orientation; holes are drawn via the even-odd fill rule.  Each shape
     carries its exact coordinates in data attributes.
     """
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
     region = dissection.region
     xmin, ymin, xmax, ymax = region.bounds()
     for t in dissection.tiles:

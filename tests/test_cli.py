@@ -9,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from quadrect import Dissection, FieldParam, format_rat, pinwheel_dissection, verify_tiling
+from quadrect import (
+    Dissection,
+    FieldParam,
+    decide_polygon,
+    format_rat,
+    pinwheel_dissection,
+    verify_tiling,
+)
 from quadrect.cli import run
 from quadrect.exactfield import MAX_LITERAL_CHARS
 from quadrect.jsonio import (
@@ -18,7 +25,9 @@ from quadrect.jsonio import (
     instance_from_json,
     instance_to_json,
     load_instance,
+    report_to_json,
     save_instance,
+    verdict_to_json,
 )
 from quadrect.render import quad_to_decimal, render_svg
 from quadrect.samples import rect_of
@@ -83,6 +92,29 @@ class TestJsonRoundTrip:
     def test_instance_field_is_its_region_field(self):
         d = pinwheel_dissection(FieldParam(3).quad(3, 1), FieldParam(3).one)
         assert Instance(d.region, d.tiles).field is d.region.field
+        assert d.field is d.region.field
+
+    def test_loaded_instance_is_a_dissection(self):
+        d = pinwheel_dissection(F2.quad(3), F2.one)
+        inst = instance_from_json(instance_to_json(d))
+        assert isinstance(inst, Dissection)
+        assert inst.field is inst.region.field
+
+    def test_instance_and_its_dissection_give_the_same_output(self):
+        doc = instance_to_json(pinwheel_dissection(F2.quad(3), F2.one))
+        inst = instance_from_json(doc)
+        d = inst.dissection()
+        assert type(d) is Dissection
+        assert report_to_json(verify_tiling(inst)) == report_to_json(verify_tiling(d))
+        assert render_svg(inst, 12) == render_svg(d, 12)
+        for r in (F2.quad(2), F2.quad(1, 1)):
+            assert verdict_to_json(decide_polygon(inst, r)) == verdict_to_json(
+                decide_polygon(d, r)
+            )
+        gappy = instance_from_json(doc | {"tiles": doc["tiles"][1:]})
+        assert report_to_json(verify_tiling(gappy)) == report_to_json(
+            verify_tiling(gappy.dissection())
+        )
 
 
 class TestDecideCommands:
@@ -549,7 +581,7 @@ class TestRender:
                     "--precision", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: precision must be at least 1\n"
+        assert captured.err == "error: need at least one digit\n"
         assert not out.exists()
 
 
