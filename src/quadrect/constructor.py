@@ -16,8 +16,8 @@ to m/2 are looked up among level m - i instead, in the order the build
 would have met them, which gives the same first tree.  A residual that would
 lie at an unbuilt level is settled by the same lookup there, whose join's
 rank orders it as its position there would; a search keeps each lookup's
-result, so a (class, level) pair that several residuals reach is settled
-once.  A miss is only a miss: the search is depth-bounded and
+result in its memo, so a (class, level) pair that several residuals reach is
+settled once.  A miss is only a miss: the search is depth-bounded and
 guillotine-only, so NotFound (None) never proves impossibility; the
 decision procedure is the authority on that.
 
@@ -28,8 +28,8 @@ as a call needs, so a cold search builds what it would without them and a
 later one only the levels no earlier call needed.  No search builds a
 deeper level; an enumeration above 7 tiles builds its deeper levels in a
 private copy.  A search keeps its own records apart: its leaf, since r and
-1/r share a class but not a leaf orientation, and the nodes it settles by
-lookup, which a later build of their level must not find.
+1/r share a class but not a leaf orientation, and the join records of the
+hits in its memo, which a later build of their level must not find.
 
 The search runs on the bare canonical keys (A, B, D) that ``Quad`` stores
 (see ``exactfield``), through the same key functions, so the hot loop is
@@ -97,8 +97,7 @@ CompositionTree = Union[Leaf, HJoin, VJoin]
 
 def _subtree_ratios(tree: CompositionTree, tile_ratio: Quad) -> dict[int, Quad]:
     """The ratio of every subtree of ``tree``, keyed by ``id``, in one pass."""
-    one = tile_ratio.field.one
-    leaf = (tile_ratio, one / tile_ratio)
+    leaf = (tile_ratio, 1 / tile_ratio)
     ratios: dict[int, Quad] = {}
 
     def walk(t: CompositionTree) -> Quad:
@@ -107,7 +106,8 @@ def _subtree_ratios(tree: CompositionTree, tile_ratio: Quad) -> dict[int, Quad]:
         elif isinstance(t, HJoin):
             q = walk(t.left) + walk(t.right)
         else:
-            q = one / (one / walk(t.bottom) + one / walk(t.top))
+            b, u = walk(t.bottom), walk(t.top)
+            q = b * u / (b + u)
         ratios[id(t)] = q
         return q
 
@@ -215,13 +215,9 @@ def _tables(rep: Key, P: int, n: int) -> Tables:
     lock; a record, once written, never changes.
     """
     with _cache_lock:
-        tables = _cache.get((rep, P))
-        if tables is None:
-            tables = _cache[rep, P] = _tile_level(rep)
-            if len(_cache) > CACHED_CLASSES:
-                _cache.popitem(last=False)
-        else:
-            _cache.move_to_end((rep, P))
+        tables = _cache[rep, P] = _cache.pop((rep, P), None) or _tile_level(rep)
+        if len(_cache) > CACHED_CLASSES:
+            _cache.popitem(last=False)
         while len(tables[1]) <= min(n, CACHED_LEVELS):
             _build_level(*tables, P)
         return tables
@@ -231,7 +227,6 @@ def _first_join(
     t: Key,
     n: int,
     levels: list[list[Key]],
-    found: dict,
     indexes: dict[int, dict[Key, int]],
     memo: dict,
     P: int,
@@ -256,12 +251,12 @@ def _first_join(
     its own lookup at level n - i, and its rank stands in for its index
     there.  That lookup's precondition holds: a residual at a level k below
     n - i would put t at level i + k < n, so by induction it holds for every
-    residual the recursion visits.  Each lookup that settles a residual
-    puts its winning record into ``found``, and ``memo`` keeps each
-    lookup's result by (class, level), so another residual path to the same
-    pair reuses it.  ``indexes`` caches each built level's {key: index} map.
-    The inverses of the few classes scanned, at levels up to n/2, are
-    computed here.
+    residual the recursion visits, so a class has a hit at one level only.
+    ``memo`` keeps each lookup's result by (class, level), so another
+    residual path to the same pair reuses it, and it is the only record of
+    the hits: the search builds its tree from their join records.
+    ``indexes`` caches each built level's {key: index} map.  The inverses
+    of the few classes scanned, at levels up to n/2, are computed here.
     """
     sums = [(t, 0)]
     if t != (1, 0, 1):
@@ -285,23 +280,19 @@ def _first_join(
                         y = index.get(ykey)
                         if y is None:
                             continue
-                        ynode = None
                     else:
                         if (ykey, j) not in memo:
-                            memo[ykey, j] = _first_join(
-                                ykey, j, levels, found, indexes, memo, P)
+                            memo[ykey, j] = _first_join(ykey, j, levels, indexes, memo, P)
                         hit = memo[ykey, j]
                         if hit is None:
                             continue
-                        ynode, y = hit
+                        y = hit[1]
                     orient = fx | (_FY if fy else 0)
-                    cand = (y, orient, outer, ykey, ynode)
+                    cand = (y, orient, outer, ykey)
                     if best is None or cand < best:
                         best = cand
             if best is not None:
-                y, orient, outer, ykey, ynode = best
-                if ynode is not None:
-                    found[ykey] = ynode
+                y, orient, outer, ykey = best
                 return (xkey, ykey, orient | outer), (i, xi, y, orient)
     return None
 
@@ -340,10 +331,6 @@ def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTr
     P = r.field.radicand
     rep, rotated = _canon(r.key, P)
     tkey, tinv = _canon(y.key, P)
-    # This call's own records: its leaf, as r and 1/r share a class but not
-    # a leaf orientation, and the nodes it settles by lookup, which the
-    # shared tables must never hold.
-    found: dict = {rep: (None, None, rotated)}
     nodes, levels, _ = _tables(rep, P, 1)
     # Every level up to ``built`` is complete, so a target not yet in the
     # table lies beyond it.
@@ -361,14 +348,17 @@ def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTr
                 raise ValueError(
                     f"no witness within {n - 1} tiles; the search reaches no further")
             else:
-                hit = _first_join(tkey, n, levels, found, indexes, memo, P)
-                memo[tkey, n] = hit
-                if hit is not None:
-                    found[tkey] = hit[0]
+                memo[tkey, n] = _first_join(tkey, n, levels, indexes, memo, P)
+                if memo[tkey, n] is not None:
                     break
         else:
             return None
-    tree = _build_tree(ChainMap(found, nodes), tkey, tinv)
+    # This call's own records, which the shared tables must never hold: its
+    # hits, each at its class's one level, and its leaf, as r and 1/r share
+    # a class but not a leaf orientation.
+    records = {k: hit[0] for (k, _), hit in memo.items() if hit is not None}
+    records[rep] = (None, None, rotated)
+    tree = _build_tree(ChainMap(records, nodes), tkey, tinv)
     # a warm table may hold the target at a level beyond the budget
     return tree if leaf_count(tree) <= max_leaves else None
 
@@ -403,14 +393,14 @@ def realize_tree(tree: CompositionTree, target: Rect, tile_ratio: Quad) -> Disse
     """Turn a composition tree into exact tile coordinates inside ``target``.
 
     The tree's ratio must equal the target's width/height ratio exactly;
-    splits are proportional to child ratios, so every leaf comes out with
-    ratio ``tile_ratio`` or its inverse.  Tiles are listed in depth-first
-    order (left before right, bottom before top).
+    each join sizes its first child from that child's ratio and leaves the
+    rest to the second, so every leaf comes out with ratio ``tile_ratio`` or
+    its inverse.  Tiles are listed in depth-first order (left before right,
+    bottom before top).
     """
     ratios = _subtree_ratios(tree, tile_ratio)
     if ratios[id(tree)] != rect_ratio(target):
         raise ValueError("tree ratio does not match the target rectangle")
-    one = tile_ratio.field.one
     tiles: list[Rect] = []
 
     def place(t: CompositionTree, x: Quad, y: Quad, w: Quad, h: Quad) -> None:
@@ -418,15 +408,11 @@ def realize_tree(tree: CompositionTree, target: Rect, tile_ratio: Quad) -> Disse
             tiles.append(Rect(Point(x, y), w, h))
             return
         if isinstance(t, HJoin):
-            rl = ratios[id(t.left)]
-            rr = ratios[id(t.right)]
-            wl = w * rl / (rl + rr)
+            wl = h * ratios[id(t.left)]
             place(t.left, x, y, wl, h)
             place(t.right, x + wl, y, w - wl, h)
             return
-        qb = one / ratios[id(t.bottom)]
-        qt = one / ratios[id(t.top)]
-        hb = h * qb / (qb + qt)
+        hb = w / ratios[id(t.bottom)]
         place(t.bottom, x, y, w, hb)
         place(t.top, x, y + hb, w, h - hb)
 

@@ -89,10 +89,6 @@ def decide_rect_ratio(y: Quad | NotInField, r: Quad) -> Verdict:
     case_tag = CASE_CONJUGATE_POSITIVE if conj_sign > 0 else CASE_CONJUGATE_NEGATIVE
     if isinstance(y, NotInField):
         return Verdict(False, case_tag, None, None)
-    if y.field != r.field:
-        raise ValueError("rectangle ratio and tile ratio must share one field parameter")
-    if y.sign() <= 0:
-        raise ValueError("rectangle ratio must be positive")
     member = in_membership_set(y, r)
     e, f = y.a, y.b
     certificate = None

@@ -435,15 +435,9 @@ def verify_tiling(dissection: Dissection) -> VerifyReport:
         if counts == flags:  # the row is clean
             continue
         for i, (inside, c) in enumerate(zip(flags, counts)):
-            if inside:
-                if c == 1:
-                    continue
-                kind = "gap" if c == 0 else "overlap"
-            elif c == 0:
-                continue
-            else:
-                kind = "protrusion"
-            issues.append(CellIssue(kind, i, j, grid.midpoint(i, j), c))
+            if c != inside:
+                kind = "gap" if c == 0 else "overlap" if inside else "protrusion"
+                issues.append(CellIssue(kind, i, j, grid.midpoint(i, j), c))
     valid = not issues
     if valid:
         total = region.field.zero

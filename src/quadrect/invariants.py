@@ -184,9 +184,16 @@ class SeparationCertificate:
 
 
 def in_membership_set(y: Quad, r: Quad) -> bool:
-    """Whether a rectangle of positive ratio y = e + f*sqrt(p) can be cut
-    into rectangles similar to r = a + b*sqrt(p) > 0: the closed-form test
-    stated in the ``decision`` module docstring."""
+    """Whether a rectangle of ratio y = e + f*sqrt(p) can be cut into
+    rectangles similar to r = a + b*sqrt(p): the closed-form test stated in
+    the ``decision`` module docstring.  Raises ValueError unless both ratios
+    are positive and share one field."""
+    if r.sign() <= 0:
+        raise ValueError("tile ratio must be positive")
+    if y.field != r.field:
+        raise ValueError("rectangle ratio and tile ratio must share one field parameter")
+    if y.sign() <= 0:
+        raise ValueError("rectangle ratio must be positive")
     a, b, e, f = r.a, r.b, y.a, y.b
     if r.conj().sign() > 0:
         return e > 0 and abs(f) * a <= abs(b) * e

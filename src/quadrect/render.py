@@ -23,19 +23,22 @@ MAX_DIGITS = 1000
 
 
 def quad_to_decimal(x: Quad, digits: int) -> str:
-    """Decimal string of a + b*sqrt(p), truncated after ``digits`` digits."""
+    """Decimal string of a + b*sqrt(p), truncated exactly toward zero after
+    ``digits`` digits (trailing zeros dropped)."""
     if digits < 1:
         raise ValueError("need at least one digit")
     if digits > MAX_DIGITS:
         raise ValueError(f"at most {MAX_DIGITS} digits are supported")
-    p = x.field.p
+    negative = x.sign() < 0
+    # floor(|x| * scale) on the key (A + B*sqrt(P))/D of |x|; for B < 0 the
+    # root is irrational, so its floor is one below -isqrt
+    A, B, D = (-x).key if negative else x.key
     scale = 10**digits
-    root = Fraction(isqrt(p.numerator * p.denominator * scale * scale),
-                    p.denominator * scale)
-    value = x.a + x.b * root
-    text = str(abs(value) * scale // 1).rjust(digits + 1, "0")
+    root = isqrt(B * B * x.field.radicand * scale * scale)
+    whole = (A * scale + root if B >= 0 else A * scale - root - 1) // D
+    text = str(whole).rjust(digits + 1, "0")
     head, tail = text[:-digits], text[-digits:].rstrip("0")
-    sign = "-" if value < 0 else ""
+    sign = "-" if negative else ""
     return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"
 
 

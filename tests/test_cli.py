@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from quadrect import (
@@ -522,6 +523,34 @@ class TestRender:
         assert quad_to_decimal(F2.quad(0, 1), 8) == "1.41421356"
         assert quad_to_decimal(F2.quad(Fraction(1, 2)), 4) == "0.5"
         assert quad_to_decimal(F2.quad(-2), 4) == "-2"
+
+    def test_decimal_truncates_exactly_like_mpmath(self):
+        # 2 - sqrt2 = 0.5857...: truncated, not rounded
+        assert quad_to_decimal(F2.quad(2, -1), 3) == "0.585"
+        # floor(|x| * 10**digits) against a 200-digit mpmath value; the sign
+        # is written separately, so truncation is toward zero
+        rng = random.Random("quad_to_decimal")
+        fields = [FieldParam(p) for p in (2, 3, 5, Fraction(5, 2), Fraction(7, 3))]
+        for _ in range(1000):
+            field = rng.choice(fields)
+            a = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+            b = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+            digits = rng.randint(1, 40)
+            x = field.quad(a, b)
+            if b == 0:
+                want = abs(a) * 10**digits // 1
+            else:
+                with mpmath.workdps(200):
+                    p = field.p
+                    value = mpmath.mpf(a.numerator) / a.denominator + (
+                        mpmath.mpf(b.numerator) / b.denominator
+                    ) * mpmath.sqrt(mpmath.mpf(p.numerator) / p.denominator)
+                    want = int(mpmath.floor(abs(value) * 10**digits))
+            text = quad_to_decimal(x, digits)
+            head, _, tail = text.lstrip("-").partition(".")
+            assert text.startswith("-") == (x.sign() < 0), (x, digits, text)
+            assert not tail.endswith("0"), (x, digits, text)
+            assert int(head + tail.ljust(digits, "0")) == want, (x, digits, text)
 
     def test_svg_structure_and_exact_attributes(self):
         svg = render_svg(pinwheel_dissection(F2.quad(3), F2.quad(1)), 12)

@@ -116,6 +116,40 @@ class TestRealize:
             Rect(Point(r, F2.zero), r, F2.one),
         )
 
+    def test_two_stacked_coordinates(self):
+        # silver r = 1 + s and 1/r = s - 1 (s = sqrt2) stack to ratio s/4
+        s = F2.sqrt_p
+        target = Rect(point_of(F2, 3, 1), s, F2.quad(4))
+        d = realize_tree(VJoin(Leaf(False), Leaf(True)), target, SILVER)
+        assert d.tiles == (
+            Rect(point_of(F2, 3, 1), s, F2.quad(2, -1)),
+            Rect(Point(F2.quad(3), F2.quad(3, -1)), s, F2.quad(2, 1)),
+        )
+
+    def test_mixed_three_level_coordinates(self):
+        # bottom: r beside 1/r (ratio 2s, height 1); top: r beside two r
+        # stacked (ratio 3r/2, height (8 - 4s)/3); the whole has width 2s
+        tree = VJoin(
+            HJoin(Leaf(False), Leaf(True)),
+            HJoin(Leaf(False), VJoin(Leaf(False), Leaf(False))),
+        )
+        third = Fraction(1, 3)
+
+        def q(a, b):
+            return F2.quad(a, b)
+
+        target = Rect(Point(q(-1, 0), q(0, 1)), q(0, 2), q(11 * third, -4 * third))
+        d = realize_tree(tree, target, SILVER)
+        assert d.tiles == (
+            Rect(Point(q(-1, 0), q(0, 1)), q(1, 1), F2.one),
+            Rect(Point(q(0, 1), q(0, 1)), q(-1, 1), F2.one),
+            Rect(Point(q(-1, 0), q(1, 1)), q(0, 4 * third), q(8 * third, -4 * third)),
+            Rect(Point(q(-1, 4 * third), q(1, 1)), q(0, 2 * third),
+                 q(4 * third, -2 * third)),
+            Rect(Point(q(-1, 4 * third), q(7 * third, third)), q(0, 2 * third),
+                 q(4 * third, -2 * third)),
+        )
+
     def test_ratio_mismatch_rejected(self):
         with pytest.raises(ValueError):
             realize_tree(Leaf(False), rect_of(F2, 0, 0, 5, 1), SILVER)

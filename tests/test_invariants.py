@@ -14,6 +14,8 @@ from quadrect import (
     Rect,
     abc_area_polygon,
     abc_area_rect,
+    decide_rect_ratio,
+    in_membership_set,
     separation_certificate,
     verify_tiling,
     z_area,
@@ -259,6 +261,26 @@ class TestSeparation:
         # y = r passes its own membership test, so no separation exists.
         with pytest.raises(ValueError):
             separation_certificate(1, 1, 1, 1, 2)
+
+    @pytest.mark.parametrize(
+        "y, r, message",
+        [
+            (F2.quad(1, 1), FieldParam(3).quad(1, 1),
+             "rectangle ratio and tile ratio must share one field parameter"),
+            (F2.quad(-1), F2.quad(1, 1), "rectangle ratio must be positive"),
+            (F2.zero, F2.quad(1, 1), "rectangle ratio must be positive"),
+            (F2.quad(1, 1), F2.quad(1, -1), "tile ratio must be positive"),
+            (F2.quad(1, 1), F2.zero, "tile ratio must be positive"),
+            (F2.quad(-1), FieldParam(3).quad(-1), "tile ratio must be positive"),
+        ],
+        ids=["fields", "negative-y", "zero-y", "negative-r", "zero-r", "all-bad"],
+    )
+    def test_membership_test_rejects_what_it_cannot_judge(self, y, r, message):
+        # the same checks, messages and order as decide_rect_ratio
+        for judge in (in_membership_set, decide_rect_ratio):
+            with pytest.raises(ValueError) as info:
+                judge(y, r)
+            assert str(info.value) == message
 
     def test_tile_rectangle_abc_area_always_zero(self):
         rng = random.Random(500)
