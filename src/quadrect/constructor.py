@@ -3,13 +3,16 @@
 A guillotine dissection composes ratios in two ways: placing two pieces side
 by side (equal heights) adds their width/height ratios, while stacking them
 (equal widths) combines the ratios harmonically.  Starting from the seed set
-{r, 1/r}, one builder (``_build_level``) adds the ratios reachable with
-exactly n tiles level by level, for an enumeration (``reachable_ratios``)
-and a search alike; a ratio already reached at a smaller level keeps its
-first (hence smallest) witness, and enumeration order is fixed so results
-are reproducible.  A search for one target with a budget of n tiles stops
-at the first level holding the target's class, builds levels only up to
-min(n - 2, ``CACHED_LEVELS``) and settles every level above them by lookup.
+{r, 1/r}, a builder (``_build_level``) adds the ratios reachable with
+exactly n tiles level by level, with the join that first reaches each; a
+ratio already reached at a smaller level keeps its first (hence smallest)
+witness, and enumeration order is fixed so results are reproducible.  An
+enumeration (``reachable_ratios``) needs the classes alone, so above the
+shared levels it builds them with ``_build_classes``, which visits the same
+sums in the same order and writes no join.  A search for one target with a
+budget of n tiles stops at the first level holding the target's class,
+builds levels only up to min(n - 2, ``CACHED_LEVELS``) and settles every
+level above them by lookup.
 A class is at level m iff it joins a class of level i <= m/2 with one of
 level m - i, so the target's residuals against the few classes of levels up
 to m/2 are looked up among level m - i instead, in the order the build
@@ -26,10 +29,15 @@ the tables of the ``CACHED_CLASSES`` (4) classes used last are kept for the
 whole process.  They grow under a lock, one level at a time and only as far
 as a call needs, so a cold search builds what it would without them and a
 later one only the levels no earlier call needed.  No search builds a
-deeper level; an enumeration above 7 tiles builds its deeper levels in a
-private copy.  A search keeps its own records apart: its leaf, since r and
-1/r share a class but not a leaf orientation, and the join records of the
-hits in its memo, which a later build of their level must not find.
+deeper level; an enumeration above 7 tiles builds its deeper levels as bare
+classes in a private copy that it drops.  An enumeration allocates one key
+tuple and one ``Quad`` per class and nothing cyclic, so it pauses automatic
+garbage collection, process-wide, while it builds and wraps them; the
+collector would otherwise traverse the growing heap again and again.  The
+last of overlapping pauses restores the state that the first one found.
+A search keeps its own records apart: its leaf, since r and 1/r share a
+class but not a leaf orientation, and the join records of the hits in its
+memo, which a later build of their level must not find.
 
 The search runs on the bare canonical keys (A, B, D) that ``Quad`` stores
 (see ``exactfield``), through the same key functions, so the hot loop is
@@ -45,8 +53,10 @@ flipped) realizes the inverse ratio.
 
 from __future__ import annotations
 
+import gc
 import threading
 from collections import ChainMap, OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
@@ -146,9 +156,9 @@ _OUTER = 4
 # Tile classes whose levels up to CACHED_LEVELS are kept across calls, least
 # recently used first.  Four classes hold about 4 MB: for r = 1 + sqrt(p),
 # p in {2, 3, 5}, the tables to level 7 cover about 4,170 classes in
-# 0.9-1.0 MB, while level 8 alone would add over 4 MB per class, so a
-# search looks deeper levels up and an enumeration builds them in a private
-# copy that it drops.
+# 0.9-1.0 MB, while level 8 alone would add over 4 MB per class with its
+# join records, so a search looks deeper levels up and an enumeration builds
+# them as bare classes, with no records, in a private copy that it drops.
 CACHED_LEVELS = 7
 CACHED_CLASSES = 4
 
@@ -370,23 +380,86 @@ def ratio_class_rep(y: Quad) -> Quad:
     return Quad(_canon(y.key, y.field.radicand)[0], y.field)
 
 
+def _build_classes(
+    seen: dict, levels: list[list[Key]], inv_of: dict[Key, Key], P: int
+) -> None:
+    """Append level n = len(levels) as ``_build_level`` would, visiting the
+    same sums in the same order, but record each new class in ``seen`` with
+    no join: an enumeration above the cache keeps only the classes."""
+    n = len(levels)
+    for ck in levels[n - 1]:
+        inv_of[ck] = key_inv(ck, P)
+    first = len(seen)
+    for i in range(1, n // 2 + 1):
+        ys = [(*y, *inv_of[y]) for y in levels[n - i]]
+        for xi, x in enumerate(levels[i]):
+            a1, b1, d1 = x
+            a3, b3, d3 = inv_of[x]
+            # the four sums of _build_level, in its order; only 1/x + 1/y
+            # can fall below 1
+            for a2, b2, d2, a4, b4, d4 in ys[xi:] if 2 * i == n else ys:
+                a, b, d = a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2
+                g = gcd(a, b, d)
+                seen.setdefault((a // g, b // g, d // g) if g > 1 else (a, b, d))
+                a, b, d = a1 * d4 + a4 * d1, b1 * d4 + b4 * d1, d1 * d4
+                g = gcd(a, b, d)
+                seen.setdefault((a // g, b // g, d // g) if g > 1 else (a, b, d))
+                a, b, d = a3 * d2 + a2 * d3, b3 * d2 + b2 * d3, d3 * d2
+                g = gcd(a, b, d)
+                seen.setdefault((a // g, b // g, d // g) if g > 1 else (a, b, d))
+                a, b, d = a3 * d4 + a4 * d3, b3 * d4 + b4 * d3, d3 * d4
+                g = gcd(a, b, d)
+                ck = (a // g, b // g, d // g) if g > 1 else (a, b, d)
+                seen.setdefault(key_inv(ck, P) if int_sign(a - d, b, P) < 0 else ck)
+    levels.append(list(islice(seen, first, None)))
+
+
+# The pauses of overlapping enumerations, in any threads, nest: the first
+# records whether the collector was on and the last restores that, as an
+# isenabled()/disable() pair per call could race and leave it off for good.
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def _gc_paused():
+    global _gc_depth, _gc_was_enabled
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if _gc_depth == 0 and _gc_was_enabled:
+                gc.enable()
+
+
 def reachable_ratios(r: Quad, max_leaves: int) -> dict[Quad, int]:
     """Every ratio class reachable from tiles of ratio r within the leaf
-    budget, as canonical representative -> minimal leaf count."""
+    budget, as canonical representative -> minimal leaf count.
+
+    Automatic garbage collection is paused, process-wide, while the call
+    builds and wraps its classes, and is then restored to its prior state.
+    """
     _check_search_inputs(r, max_leaves)
     P = r.field.radicand
     rep = _canon(r.key, P)[0]
-    tables = _tables(rep, P, max_leaves)
-    if max_leaves > CACHED_LEVELS:
-        # levels beyond the cache go into a private copy
-        tables = tuple(table.copy() for table in tables)
-        while len(tables[1]) <= max_leaves:
-            _build_level(*tables, P)
-    levels = tables[1][: max_leaves + 1]
-    # a private join table is dropped before the keys are wrapped, which
-    # lowers the peak memory of a 9-tile enumeration by about a seventh
-    del tables
-    return {Quad(k, r.field): n for n, keys in enumerate(levels) for k in keys}
+    nodes, levels, inv_of = _tables(rep, P, max_leaves)
+    levels = levels[: max_leaves + 1]
+    with _gc_paused():
+        if max_leaves > CACHED_LEVELS:
+            # levels beyond the cache are built as bare classes, privately
+            seen, inv_of = dict.fromkeys(nodes), inv_of.copy()
+            while len(levels) <= max_leaves:
+                _build_classes(seen, levels, inv_of, P)
+            # dropped before the keys are wrapped, to lower the peak memory
+            del seen, inv_of
+        return {Quad(k, r.field): n for n, keys in enumerate(levels) for k in keys}
 
 
 def realize_tree(tree: CompositionTree, target: Rect, tile_ratio: Quad) -> Dissection:

@@ -38,7 +38,8 @@ def quad_to_decimal(x: Quad, digits: int) -> str:
     whole = (A * scale + root if B >= 0 else A * scale - root - 1) // D
     text = str(whole).rjust(digits + 1, "0")
     head, tail = text[:-digits], text[-digits:].rstrip("0")
-    sign = "-" if negative else ""
+    # a value that truncates to zero prints without a sign
+    sign = "-" if negative and whole else ""
     return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"
 
 

@@ -524,6 +524,11 @@ class TestRender:
         assert quad_to_decimal(F2.quad(Fraction(1, 2)), 4) == "0.5"
         assert quad_to_decimal(F2.quad(-2), 4) == "-2"
 
+    def test_decimal_truncated_to_zero_has_no_sign(self):
+        assert quad_to_decimal(F2.quad(0, -1) / 100000, 3) == "0"
+        assert quad_to_decimal(F2.quad(Fraction(-1, 2000)), 3) == "0"
+        assert quad_to_decimal(F2.quad(0, -1) / 100000, 5) == "-0.00001"
+
     def test_decimal_truncates_exactly_like_mpmath(self):
         # 2 - sqrt2 = 0.5857...: truncated, not rounded
         assert quad_to_decimal(F2.quad(2, -1), 3) == "0.585"
@@ -548,7 +553,7 @@ class TestRender:
                     want = int(mpmath.floor(abs(value) * 10**digits))
             text = quad_to_decimal(x, digits)
             head, _, tail = text.lstrip("-").partition(".")
-            assert text.startswith("-") == (x.sign() < 0), (x, digits, text)
+            assert text.startswith("-") == (x.sign() < 0 and want > 0), (x, digits, text)
             assert not tail.endswith("0"), (x, digits, text)
             assert int(head + tail.ljust(digits, "0")) == want, (x, digits, text)
 

@@ -8,8 +8,9 @@ level above them by residual lookup, recursively through the levels it did
 not build (at budget 11 through levels 10, 9 and 8), and must return the
 same tree, or None, for every target and budget: at the minimal leaf count
 the first hit lies on a looked-up level, where the tie-break between joins
-decides the tree.  ``reachable_ratios`` still builds every level but keeps
-no inverses for the last one, so it must return the same classes.
+decides the tree.  ``reachable_ratios`` still builds every level, those
+above ``CACHED_LEVELS`` as bare classes with no join records
+(``_build_classes``), so it must return the same classes in the same order.
 
 Both keep each tile class's levels up to ``CACHED_LEVELS`` across calls, so
 the same checks run again on warm, shared and evicted tables, and from a
@@ -17,9 +18,13 @@ few threads at once.  Spies on ``_build_level`` and ``_first_join`` show
 which levels a search builds and which it looks up, and that a search looks
 each (class, level) pair up once.  ``_build_level``, which adds keys inline
 and sign-tests one orientation sum in four, must build the reference's
-tables entry for entry, join records and order included.
+tables entry for entry, join records and order included, and
+``_build_classes`` the same levels.  An enumeration pauses automatic garbage
+collection process-wide, so threads and a failing build must leave the
+collector as they found it.
 """
 
+import gc
 import random
 import sys
 import threading
@@ -190,15 +195,16 @@ def test_unit_class_and_misses(field, r):
         misses += 1
 
 
-@pytest.mark.parametrize(
-    "p, budget", [(PS[0], 8), (PS[1], 7), (PS[2], 7), (PS[3], 7)], ids=["2", "3", "5", "5_2"]
-)
-def test_reachable_ratios_unchanged(p, budget):
+@pytest.mark.parametrize("p", PS, ids=["2", "3", "5", "5_2"])
+def test_reachable_ratios_unchanged(p):
     field = FieldParam(p)
     r = field.one + field.sqrt_p
-    got = reachable_ratios(r, budget)
-    assert got == ref_reachable(r, budget)
-    assert reachable_ratios(field.one / r, budget) == got
+    got = reachable_ratios(r, 8)
+    want = ref_reachable(r, 8)
+    assert got == want
+    # iteration order too: level by level, each in build order
+    assert list(got.items()) == list(want.items())
+    assert list(reachable_ratios(field.one / r, 8).items()) == list(got.items())
 
 
 # r = 1 + sqrt(p) for these p, searched at every budget up to TOP
@@ -306,6 +312,14 @@ def level_one_residuals(rep, t, P, level_of, level):
             if level_of.get(c) == level:
                 found.add(c)
     return found
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_nine_tile_enumeration_lists_the_forward_levels(p):
+    r, _nodes, levels, _ = silver_table(p)
+    got = reachable_ratios(r, TOP)
+    want = [(Quad(k, r.field), n) for n, keys in enumerate(levels) for k in keys]
+    assert list(got.items()) == want
 
 
 @pytest.mark.parametrize("p", SILVER_PS)
@@ -616,6 +630,66 @@ def test_threads_on_a_cold_cache_match_a_serial_run(cold_cache):
         assert_consistent(cached_tables(silver_table(p)[0]))
 
 
+@pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
+def gc_state(request):
+    """Starts the test with automatic collection on or off, and restores the
+    state it found afterwards."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_threads_enumerating_leave_the_collector_as_they_found_it(gc_state):
+    # Overlapping enumerations share one pause: the last to finish restores
+    # the collector's state from before the first began.
+    jobs = []
+    for p in (2, 3):
+        field = FieldParam(p)
+        r = field.one + field.sqrt_p
+        jobs += [r, field.one / r]
+    serial = [list(reachable_ratios(r, 8).items()) for r in jobs]
+    results = [None] * 4
+    # the threads start each round together, so their pauses overlap
+    rounds = threading.Barrier(4)
+
+    def run(t):
+        got = []
+        for k in range(4):
+            rounds.wait(timeout=60)
+            got.append(list(reachable_ratios(jobs[(t + k) % 4], 8).items()))
+        results[t] = got
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for t, got in enumerate(results):
+        assert got == [serial[(t + k) % 4] for k in range(4)]
+    assert gc.isenabled() == gc_state
+    assert constructor._gc_depth == 0
+
+
+def test_a_failing_enumeration_restores_the_collector(gc_state, monkeypatch):
+    def fail(*args):
+        assert not gc.isenabled()
+        raise RuntimeError("build failed")
+
+    monkeypatch.setattr(constructor, "_build_classes", fail)
+    field = FieldParam(2)
+    with pytest.raises(RuntimeError, match="build failed"):
+        reachable_ratios(field.one + field.sqrt_p, 8)
+    assert gc.isenabled() == gc_state
+    assert constructor._gc_depth == 0
+
+
 def built_tables(r, top):
     """The tables of r's class built to level ``top`` by ``_build_level``,
     from a fresh start rather than the process-wide cache."""
@@ -651,6 +725,13 @@ def test_built_tables_match_the_forward_reference(r):
     assert nodes[rep] == (None, None, False)
     assert list(nodes.items())[1:] == list(ref_nodes.items())[1:]
     assert inv_of == {k: key_inv(k, P) for keys in levels[:8] for k in keys}
+    # the enumeration's record-free builder visits the same sums in order
+    seen, class_levels, class_inv_of = dict.fromkeys(levels[1]), [[], levels[1]], {}
+    while len(class_levels) <= 8:
+        constructor._build_classes(seen, class_levels, class_inv_of, P)
+    assert class_levels == levels
+    assert list(seen) == list(nodes)
+    assert class_inv_of == inv_of
     # every stored class is its own representative, which is what lets the
     # builder skip the sign test of x + y, x + 1/y and 1/x + y
     for keys in levels:
