@@ -3,16 +3,14 @@
 A guillotine dissection composes ratios in two ways: placing two pieces side
 by side (equal heights) adds their width/height ratios, while stacking them
 (equal widths) combines the ratios harmonically.  Starting from the seed set
-{r, 1/r}, a builder (``_build_level``) adds the ratios reachable with
-exactly n tiles level by level, with the join that first reaches each; a
-ratio already reached at a smaller level keeps its first (hence smallest)
-witness, and enumeration order is fixed so results are reproducible.  An
-enumeration (``reachable_ratios``) needs the classes alone, so above the
-shared levels it builds them with ``_build_classes``, which visits the same
-sums in the same order and writes no join.  A search for one target with a
-budget of n tiles stops at the first level holding the target's class,
-builds levels only up to min(n - 2, ``CACHED_LEVELS``) and settles every
-level above them by lookup.
+{r, 1/r}, one builder (``_build_level``) adds the ratio classes reachable
+with exactly n tiles level by level; a class already reached at a smaller
+level keeps that level, and enumeration order is fixed so results are
+reproducible.  No join is stored: the join that first reaches a class
+(``_first_join``) is derived by lookup when a search needs it.  A search for
+one target with a budget of n tiles stops at the first level holding the
+target's class, builds levels only up to min(n - 2, ``CACHED_LEVELS``) and
+settles every level above them by lookup.
 A class is at level m iff it joins a class of level i <= m/2 with one of
 level m - i, so the target's residuals against the few classes of levels up
 to m/2 are looked up among level m - i instead, in the order the build
@@ -29,15 +27,14 @@ the tables of the ``CACHED_CLASSES`` (4) classes used last are kept for the
 whole process.  They grow under a lock, one level at a time and only as far
 as a call needs, so a cold search builds what it would without them and a
 later one only the levels no earlier call needed.  No search builds a
-deeper level; an enumeration above 7 tiles builds its deeper levels as bare
-classes in a private copy that it drops.  An enumeration allocates one key
-tuple and one ``Quad`` per class and nothing cyclic, so it pauses automatic
-garbage collection, process-wide, while it builds and wraps them; the
-collector would otherwise traverse the growing heap again and again.  The
-last of overlapping pauses restores the state that the first one found.
-A search keeps its own records apart: its leaf, since r and 1/r share a
-class but not a leaf orientation, and the join records of the hits in its
-memo, which a later build of their level must not find.
+deeper level; an enumeration above 7 tiles builds its deeper levels with the
+same builder in a private copy that it drops.  An enumeration allocates one
+key tuple and one ``Quad`` per class and nothing cyclic, so it pauses
+automatic garbage collection, process-wide, while it builds and wraps them;
+the collector would otherwise traverse the growing heap again and again.
+The last of overlapping pauses restores the state that the first one found.
+A search keeps the joins it derives in its own memo, and its own leaf
+record, since r and 1/r share a class but not a leaf orientation.
 
 The search runs on the bare canonical keys (A, B, D) that ``Quad`` stores
 (see ``exactfield``), through the same key functions, so the hot loop is
@@ -55,7 +52,7 @@ from __future__ import annotations
 
 import gc
 import threading
-from collections import ChainMap, OrderedDict
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -155,37 +152,40 @@ _OUTER = 4
 
 # Tile classes whose levels up to CACHED_LEVELS are kept across calls, least
 # recently used first.  Four classes hold about 4 MB: for r = 1 + sqrt(p),
-# p in {2, 3, 5}, the tables to level 7 cover about 4,170 classes in
-# 0.9-1.0 MB, while level 8 alone would add over 4 MB per class with its
-# join records, so a search looks deeper levels up and an enumeration builds
-# them as bare classes, with no records, in a private copy that it drops.
+# p in {2, 3, 5}, the tables to level 7, indexes included, cover about 4,170
+# classes in 0.9-1.1 MB (tracemalloc), while level 8 alone would add about
+# 4 MB per class, so a search looks deeper levels up and an enumeration
+# builds them in a private copy that it drops.
 CACHED_LEVELS = 7
 CACHED_CLASSES = 4
 
-Tables = tuple[dict, list[list[Key]], dict[Key, Key]]
+# level_of: each class -> its level; levels: each level's classes in build
+# order; inv_of: each class below the newest level -> its inverse;
+# indexes: each level's {class: position}.
+Tables = tuple[dict[Key, int], list[list[Key]], dict[Key, Key], list[dict[Key, int]]]
 _cache: OrderedDict[tuple[Key, int], Tables] = OrderedDict()
 _cache_lock = threading.Lock()
 
 
 def _tile_level(rep: Key) -> Tables:
-    """Join table, levels 0-1 and (empty) inverse table for tile class rep."""
-    return {rep: (None, None, False)}, [[], [rep]], {}
+    """The tables of tile class rep, holding levels 0 and 1."""
+    return {rep: 1}, [[], [rep]], {}, [{}, {rep: 0}]
 
 
 def _build_level(
-    nodes: dict, levels: list[list[Key]], inv_of: dict[Key, Key], P: int
+    level_of: dict[Key, int], levels: list[list[Key]], inv_of: dict[Key, Key], P: int
 ) -> None:
     """Append level n = len(levels): each class first reached by joining a
-    class of level i <= n/2 with one of level n - i, with that join in
-    ``nodes``.  Level n - 1's inverses go into ``inv_of`` first, as this
+    class of level i <= n/2 with one of level n - i, entered in ``level_of``
+    as it is met.  Level n - 1's inverses go into ``inv_of`` first, as this
     build is the first to read them."""
     n = len(levels)
     for ck in levels[n - 1]:
         inv_of[ck] = key_inv(ck, P)
-    # the classes this build adds to ``nodes``, in order, are level n
-    first = len(nodes)
+    # the classes this build adds to ``level_of``, in order, are level n
+    first = len(level_of)
     for i in range(1, n // 2 + 1):
-        ys = [(y, *y, *inv_of[y]) for y in levels[n - i]]
+        ys = [(*y, *inv_of[y]) for y in levels[n - i]]
         for xi, x in enumerate(levels[i]):
             a1, b1, d1 = x
             a3, b3, d3 = inv_of[x]
@@ -194,42 +194,43 @@ def _build_level(
             # representative as they are, and only 1/x + 1/y needs the sign
             # test.  Each sum is key_add spelled out, less key_norm's sign
             # flip (both denominators are positive), in join-code order.
-            for y, a2, b2, d2, a4, b4, d4 in ys[xi:] if 2 * i == n else ys:
+            for a2, b2, d2, a4, b4, d4 in ys[xi:] if 2 * i == n else ys:
                 a, b, d = a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2
                 g = gcd(a, b, d)
-                ck = (a // g, b // g, d // g) if g > 1 else (a, b, d)
-                nodes.setdefault(ck, (x, y, 0))
+                level_of.setdefault((a // g, b // g, d // g) if g > 1 else (a, b, d), n)
                 a, b, d = a1 * d4 + a4 * d1, b1 * d4 + b4 * d1, d1 * d4
                 g = gcd(a, b, d)
-                ck = (a // g, b // g, d // g) if g > 1 else (a, b, d)
-                nodes.setdefault(ck, (x, y, _FY))
+                level_of.setdefault((a // g, b // g, d // g) if g > 1 else (a, b, d), n)
                 a, b, d = a3 * d2 + a2 * d3, b3 * d2 + b2 * d3, d3 * d2
                 g = gcd(a, b, d)
-                ck = (a // g, b // g, d // g) if g > 1 else (a, b, d)
-                nodes.setdefault(ck, (x, y, _FX))
+                level_of.setdefault((a // g, b // g, d // g) if g > 1 else (a, b, d), n)
                 a, b, d = a3 * d4 + a4 * d3, b3 * d4 + b4 * d3, d3 * d4
                 g = gcd(a, b, d)
                 ck = (a // g, b // g, d // g) if g > 1 else (a, b, d)
-                if int_sign(a - d, b, P) < 0:
-                    nodes.setdefault(key_inv(ck, P), (x, y, _FX | _FY | _OUTER))
-                else:
-                    nodes.setdefault(ck, (x, y, _FX | _FY))
-    levels.append(list(islice(nodes, first, None)))
+                level_of.setdefault(key_inv(ck, P) if int_sign(a - d, b, P) < 0 else ck, n)
+    levels.append(list(islice(level_of, first, None)))
 
 
 def _tables(rep: Key, P: int, n: int) -> Tables:
     """The shared tables of tile class rep, grown to level min(n, CACHED_LEVELS).
 
-    A table is only ever extended, one whole level at a time, and a level
-    becomes visible in ``levels`` once it is complete, so readers need no
-    lock; a record, once written, never changes.
+    Tables are only ever extended, one whole level at a time, and the index
+    of a level is added once the level is complete, so readers need no lock.
+    A level n's classes enter ``level_of`` while it is built, before it is in
+    ``levels``.  A search that meets such a class still finds its tree: n is
+    its first level, as ``setdefault`` keeps the first, and every level below
+    n is complete, so ``_first_join``'s preconditions hold at level n; and
+    ``_first_join`` treats a level with no index yet as not built and settles
+    it by lookup, so it never reads a level in progress.
     """
     with _cache_lock:
         tables = _cache[rep, P] = _cache.pop((rep, P), None) or _tile_level(rep)
         if len(_cache) > CACHED_CLASSES:
             _cache.popitem(last=False)
-        while len(tables[1]) <= min(n, CACHED_LEVELS):
-            _build_level(*tables, P)
+        level_of, levels, inv_of, indexes = tables
+        while len(levels) <= min(n, CACHED_LEVELS):
+            _build_level(level_of, levels, inv_of, P)
+            indexes.append({k: y for y, k in enumerate(levels[-1])})
         return tables
 
 
@@ -237,14 +238,14 @@ def _first_join(
     t: Key,
     n: int,
     levels: list[list[Key]],
-    indexes: dict[int, dict[Key, int]],
+    indexes: list[dict[Key, int]],
     memo: dict,
     P: int,
 ) -> tuple[tuple, tuple] | None:
-    """The record that building level n would write for the class t >= 1,
-    with its rank (i, x index, y index, 2 * fx + fy), or None if t is not
-    reachable with n tiles.  t must lie at no level below n, and every level
-    up to n/2 must be built.
+    """The join record of the class t >= 1 at level n, the first join that
+    building level n meets, with its rank (i, x index, y index, 2 * fx + fy),
+    or None if t is not reachable with n tiles.  t must lie at no level
+    below n, and every level up to n/2 must be built.
 
     t is at level n iff u_x + u_y is t or 1/t for some x in level i <= n/2
     and y in level n - i, where u_x is x or 1/x.  So each x looks up its
@@ -257,27 +258,22 @@ def _first_join(
     i = n - i, but the lookup needs no such guard: a candidate y before x
     would have found x in its own, earlier lookup.
 
-    If level n - i is not built, a residual against level i is settled by
-    its own lookup at level n - i, and its rank stands in for its index
-    there.  That lookup's precondition holds: a residual at a level k below
-    n - i would put t at level i + k < n, so by induction it holds for every
+    Level j counts as built iff it has an index (j < len(indexes)).  If
+    level n - i is not built, a residual against level i is settled by its
+    own lookup at level n - i, and its rank stands in for its index there.
+    That lookup's precondition holds: a residual at a level k below n - i
+    would put t at level i + k < n, so by induction it holds for every
     residual the recursion visits, so a class has a hit at one level only.
     ``memo`` keeps each lookup's result by (class, level), so another
-    residual path to the same pair reuses it, and it is the only record of
-    the hits: the search builds its tree from their join records.
-    ``indexes`` caches each built level's {key: index} map.  The inverses
-    of the few classes scanned, at levels up to n/2, are computed here.
+    residual path to the same pair reuses it.  The inverses of the few
+    classes scanned, at levels up to n/2, are computed here.
     """
     sums = [(t, 0)]
     if t != (1, 0, 1):
         sums.append((key_inv(t, P), _OUTER))
     for i in range(1, n // 2 + 1):
         j = n - i
-        built = j < len(levels)
-        if built:
-            index = indexes.get(j)
-            if index is None:
-                index = indexes[j] = {k: y for y, k in enumerate(levels[j])}
+        index = indexes[j] if j < len(indexes) else None
         for xi, xkey in enumerate(levels[i]):
             best = None
             for fx, (a, b, d) in ((0, xkey), (_FX, key_inv(xkey, P))):
@@ -286,7 +282,7 @@ def _first_join(
                     if int_sign(res[0], res[1], P) <= 0:
                         continue
                     ykey, fy = _canon(res, P)
-                    if built:
+                    if index is not None:
                         y = index.get(ykey)
                         if y is None:
                             continue
@@ -341,17 +337,19 @@ def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTr
     P = r.field.radicand
     rep, rotated = _canon(r.key, P)
     tkey, tinv = _canon(y.key, P)
-    nodes, levels, _ = _tables(rep, P, 1)
-    # Every level up to ``built`` is complete, so a target not yet in the
-    # table lies beyond it.
-    built = len(levels) - 1
-    indexes: dict[int, dict[Key, int]] = {}
+    level_of, levels, _, indexes = _tables(rep, P, 1)
+    # Every level below ``built`` is complete, so a target not in
+    # ``level_of`` after it is read lies at or beyond it; one in it is at
+    # its first level, which a warm table may hold beyond the budget.
+    built = len(levels)
+    n = level_of.get(tkey)
     memo: dict = {}
-    if tkey not in nodes:
-        for n in range(built + 1, max_leaves + 1):
+    if n is None:
+        for n in range(built, max_leaves + 1):
             if n <= min(max_leaves - 2, CACHED_LEVELS):
-                nodes, levels, _ = _tables(rep, P, n)
-                if tkey in nodes:
+                level_of, levels, _, indexes = _tables(rep, P, n)
+                if tkey in level_of:
+                    n = level_of[tkey]
                     break
             elif n > 2 * CACHED_LEVELS + 1:
                 # level n's lookup would scan the unbuilt levels up to n/2
@@ -363,14 +361,24 @@ def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTr
                     break
         else:
             return None
-    # This call's own records, which the shared tables must never hold: its
-    # hits, each at its class's one level, and its leaf, as r and 1/r share
-    # a class but not a leaf orientation.
-    records = {k: hit[0] for (k, _), hit in memo.items() if hit is not None}
-    records[rep] = (None, None, rotated)
-    tree = _build_tree(ChainMap(records, nodes), tkey, tinv)
-    # a warm table may hold the target at a level beyond the budget
-    return tree if leaf_count(tree) <= max_leaves else None
+    if n > max_leaves:
+        return None
+    # Each class's record is its first join at its one level, read down from
+    # the target: a hit of rank (i, ...) at level m joins a class of level i
+    # with one of level m - i.  The leaf is this call's own, as r and 1/r
+    # share a class but not a leaf orientation.
+    records = {rep: (None, None, rotated)}
+    todo = [(tkey, n)]
+    while todo:
+        k, m = todo.pop()
+        if k in records:
+            continue
+        if (k, m) not in memo:
+            memo[k, m] = _first_join(k, m, levels, indexes, memo, P)
+        join, (i, *_) = memo[k, m]
+        records[k] = join
+        todo += (join[0], i), (join[1], m - i)
+    return _build_tree(records, tkey, tinv)
 
 
 def ratio_class_rep(y: Quad) -> Quad:
@@ -378,40 +386,6 @@ def ratio_class_rep(y: Quad) -> Quad:
     if y.sign() <= 0:
         raise ValueError("ratio must be positive")
     return Quad(_canon(y.key, y.field.radicand)[0], y.field)
-
-
-def _build_classes(
-    seen: dict, levels: list[list[Key]], inv_of: dict[Key, Key], P: int
-) -> None:
-    """Append level n = len(levels) as ``_build_level`` would, visiting the
-    same sums in the same order, but record each new class in ``seen`` with
-    no join: an enumeration above the cache keeps only the classes."""
-    n = len(levels)
-    for ck in levels[n - 1]:
-        inv_of[ck] = key_inv(ck, P)
-    first = len(seen)
-    for i in range(1, n // 2 + 1):
-        ys = [(*y, *inv_of[y]) for y in levels[n - i]]
-        for xi, x in enumerate(levels[i]):
-            a1, b1, d1 = x
-            a3, b3, d3 = inv_of[x]
-            # the four sums of _build_level, in its order; only 1/x + 1/y
-            # can fall below 1
-            for a2, b2, d2, a4, b4, d4 in ys[xi:] if 2 * i == n else ys:
-                a, b, d = a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2
-                g = gcd(a, b, d)
-                seen.setdefault((a // g, b // g, d // g) if g > 1 else (a, b, d))
-                a, b, d = a1 * d4 + a4 * d1, b1 * d4 + b4 * d1, d1 * d4
-                g = gcd(a, b, d)
-                seen.setdefault((a // g, b // g, d // g) if g > 1 else (a, b, d))
-                a, b, d = a3 * d2 + a2 * d3, b3 * d2 + b2 * d3, d3 * d2
-                g = gcd(a, b, d)
-                seen.setdefault((a // g, b // g, d // g) if g > 1 else (a, b, d))
-                a, b, d = a3 * d4 + a4 * d3, b3 * d4 + b4 * d3, d3 * d4
-                g = gcd(a, b, d)
-                ck = (a // g, b // g, d // g) if g > 1 else (a, b, d)
-                seen.setdefault(key_inv(ck, P) if int_sign(a - d, b, P) < 0 else ck)
-    levels.append(list(islice(seen, first, None)))
 
 
 # The pauses of overlapping enumerations, in any threads, nest: the first
@@ -449,16 +423,16 @@ def reachable_ratios(r: Quad, max_leaves: int) -> dict[Quad, int]:
     _check_search_inputs(r, max_leaves)
     P = r.field.radicand
     rep = _canon(r.key, P)[0]
-    nodes, levels, inv_of = _tables(rep, P, max_leaves)
+    level_of, levels, inv_of, _ = _tables(rep, P, max_leaves)
     levels = levels[: max_leaves + 1]
     with _gc_paused():
         if max_leaves > CACHED_LEVELS:
-            # levels beyond the cache are built as bare classes, privately
-            seen, inv_of = dict.fromkeys(nodes), inv_of.copy()
+            # levels beyond the cache are built privately
+            level_of, inv_of = level_of.copy(), inv_of.copy()
             while len(levels) <= max_leaves:
-                _build_classes(seen, levels, inv_of, P)
-            # dropped before the keys are wrapped, to lower the peak memory
-            del seen, inv_of
+                _build_level(level_of, levels, inv_of, P)
+        # dropped before the keys are wrapped, to lower the peak memory
+        del level_of, inv_of
         return {Quad(k, r.field): n for n, keys in enumerate(levels) for k in keys}
 
 

@@ -9,8 +9,8 @@ not build (at budget 11 through levels 10, 9 and 8), and must return the
 same tree, or None, for every target and budget: at the minimal leaf count
 the first hit lies on a looked-up level, where the tie-break between joins
 decides the tree.  ``reachable_ratios`` still builds every level, those
-above ``CACHED_LEVELS`` as bare classes with no join records
-(``_build_classes``), so it must return the same classes in the same order.
+above ``CACHED_LEVELS`` in a private copy of the tables, so it must return
+the same classes in the same order.
 
 Both keep each tile class's levels up to ``CACHED_LEVELS`` across calls, so
 the same checks run again on warm, shared and evicted tables, and from a
@@ -18,8 +18,8 @@ few threads at once.  Spies on ``_build_level`` and ``_first_join`` show
 which levels a search builds and which it looks up, and that a search looks
 each (class, level) pair up once.  ``_build_level``, which adds keys inline
 and sign-tests one orientation sum in four, must build the reference's
-tables entry for entry, join records and order included, and
-``_build_classes`` the same levels.  An enumeration pauses automatic garbage
+levels class for class, order included, and ``_first_join`` must give every
+class the reference's join record.  An enumeration pauses automatic garbage
 collection process-wide, so threads and a failing build must leave the
 collector as they found it.
 """
@@ -278,8 +278,8 @@ def spy_builds(monkeypatch):
     built = []
     build_level = constructor._build_level
 
-    def spy(nodes, levels, inv_of, P):
-        build_level(nodes, levels, inv_of, P)
+    def spy(level_of, levels, inv_of, P):
+        build_level(level_of, levels, inv_of, P)
         built.append(len(levels) - 1)
 
     monkeypatch.setattr(constructor, "_build_level", spy)
@@ -402,11 +402,10 @@ def test_miss_builds_no_level_beyond_budget_minus_two(budget, monkeypatch, cold_
     # builds of levels 2 to min(budget - 2, CACHED_LEVELS), none above 7
     top = min(budget - 2, constructor.CACHED_LEVELS)
     assert built == list(range(2, top + 1))
-    [(nodes, levels, _inv_of)] = tables
-    assert _canon(y.key, field.radicand)[0] not in nodes
+    [(level_of, levels, _inv_of, _indexes)] = tables
+    assert _canon(y.key, field.radicand)[0] not in level_of
     assert len(levels) - 1 == max(1, top)
-    assert len(nodes) == sum(map(len, levels))
-    assert set(nodes) == {k for keys in levels for k in keys}
+    assert_consistent(tables[0])
 
 
 @pytest.mark.parametrize("level", range(1, TOP - 1))
@@ -510,11 +509,13 @@ def cached_tables(r):
 
 
 def assert_consistent(tables):
-    """Exactly the classes of the built levels are in the join table."""
-    nodes, levels, _inv_of = tables
+    """Exactly the classes of the built levels are in ``level_of``, each with
+    its level, and each built level has its {class: position} index."""
+    level_of, levels, _inv_of, indexes = tables
     assert len(levels) - 1 <= constructor.CACHED_LEVELS
-    assert len(nodes) == sum(map(len, levels))
-    assert set(nodes) == {k for keys in levels for k in keys}
+    assert len(level_of) == sum(map(len, levels))
+    assert level_of == {k: n for n, keys in enumerate(levels) for k in keys}
+    assert indexes == [{k: i for i, k in enumerate(keys)} for keys in levels]
 
 
 @pytest.mark.parametrize("inverse_first", [False, True], ids=["r_first", "inverse_first"])
@@ -569,8 +570,9 @@ def test_budgets_ten_and_eleven_leave_the_cached_levels_unchanged(cold_cache):
     r, _nodes, levels, _ = silver_table(2)
     miss = certified_miss(r.field, r)
     assert construct_dissection(miss, r, TOP) is None
-    nodes, levels_before, inv_of = cached_tables(r)
-    before = dict(nodes), [list(keys) for keys in levels_before], dict(inv_of)
+    level_of, levels_before, inv_of, indexes = cached_tables(r)
+    before = (dict(level_of), [list(keys) for keys in levels_before], dict(inv_of),
+              [dict(index) for index in indexes])
     assert construct_dissection(miss, r, 10) is None
     # levels 8 and above are looked up, and no search builds them
     key = sample(random.Random("deep"), levels[8], 1)[0]
@@ -630,6 +632,24 @@ def test_threads_on_a_cold_cache_match_a_serial_run(cold_cache):
         assert_consistent(cached_tables(silver_table(p)[0]))
 
 
+def test_a_class_whose_level_is_still_being_built(cold_cache):
+    # While one thread builds level n, the classes it has met are in
+    # ``level_of`` but level n is in neither ``levels`` nor ``indexes``; a
+    # search that meets one there must still return the reference tree.
+    r, nodes, ref_levels, _ = silver_table(2)
+    P = r.field.radicand
+    level_of, levels, inv_of, _indexes = constructor._tables(ref_levels[1][0], P, 6)
+    constructor._build_level(level_of, levels, inv_of, P)
+    levels.pop()
+    try:
+        for key in sample(random.Random("building"), ref_levels[7], 4):
+            for y, inv in targets(r, key):
+                assert construct_dissection(y, r, TOP) == _build_tree(nodes, key, inv)
+                assert construct_dissection(y, r, 6) is None
+    finally:
+        cold_cache()
+
+
 @pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
 def gc_state(request):
     """Starts the test with automatic collection on or off, and restores the
@@ -682,22 +702,31 @@ def test_a_failing_enumeration_restores_the_collector(gc_state, monkeypatch):
         assert not gc.isenabled()
         raise RuntimeError("build failed")
 
-    monkeypatch.setattr(constructor, "_build_classes", fail)
     field = FieldParam(2)
+    r = field.one + field.sqrt_p
+    # the cached levels are built first, so the only failing build is level
+    # 8's, inside the pause
+    reachable_ratios(r, constructor.CACHED_LEVELS)
+    monkeypatch.setattr(constructor, "_build_level", fail)
     with pytest.raises(RuntimeError, match="build failed"):
-        reachable_ratios(field.one + field.sqrt_p, 8)
+        reachable_ratios(r, 8)
     assert gc.isenabled() == gc_state
     assert constructor._gc_depth == 0
 
 
-def built_tables(r, top):
-    """The tables of r's class built to level ``top`` by ``_build_level``,
-    from a fresh start rather than the process-wide cache."""
+def built_tables(r, top, monkeypatch):
+    """The tables of r's class as ``_tables`` grows them to level ``top``,
+    from a fresh start.  The cache is emptied before and after, so no other
+    test finds a level above ``CACHED_LEVELS`` in it."""
+    monkeypatch.setattr(constructor, "CACHED_LEVELS", top)
     P = r.field.radicand
-    tables = constructor._tile_level(_canon(r.key, P)[0])
-    while len(tables[1]) <= top:
-        constructor._build_level(*tables, P)
-    return tables
+    with constructor._cache_lock:
+        constructor._cache.clear()
+    try:
+        return constructor._tables(_canon(r.key, P)[0], P, top)
+    finally:
+        with constructor._cache_lock:
+            constructor._cache.clear()
 
 
 def build_cases():
@@ -713,25 +742,23 @@ def build_cases():
 
 
 @pytest.mark.parametrize("r", build_cases())
-def test_built_tables_match_the_forward_reference(r):
+def test_built_tables_match_the_forward_reference(r, monkeypatch):
     # The builder adds three of the four orientation sums without a sign
-    # test; the tables must still be the reference's, order and records.
+    # test; its levels must still be the reference's, in order, and the
+    # first join of each class the reference's record.
     P = r.field.radicand
-    nodes, levels, inv_of = built_tables(r, 8)
+    tables = built_tables(r, 8, monkeypatch)
+    level_of, levels, inv_of, indexes = tables
     ref_nodes, ref_levels, _ = ref_expand(r, 8, None)
     assert levels == ref_levels
-    rep = levels[1][0]
-    # only the leaf record tells r from 1/r; the build starts from the class
-    assert nodes[rep] == (None, None, False)
-    assert list(nodes.items())[1:] == list(ref_nodes.items())[1:]
+    assert_consistent(tables)
     assert inv_of == {k: key_inv(k, P) for keys in levels[:8] for k in keys}
-    # the enumeration's record-free builder visits the same sums in order
-    seen, class_levels, class_inv_of = dict.fromkeys(levels[1]), [[], levels[1]], {}
-    while len(class_levels) <= 8:
-        constructor._build_classes(seen, class_levels, class_inv_of, P)
-    assert class_levels == levels
-    assert list(seen) == list(nodes)
-    assert class_inv_of == inv_of
+    for n in range(2, 9):
+        hits = [constructor._first_join(k, n, levels, indexes, {}, P) for k in levels[n]]
+        assert [join for join, _rank in hits] == [ref_nodes[k] for k in levels[n]]
+        # the ranks order the level as the positions do
+        ranks = [rank for _join, rank in hits]
+        assert ranks == sorted(ranks) and len(set(ranks)) == len(ranks)
     # every stored class is its own representative, which is what lets the
     # builder skip the sign test of x + y, x + 1/y and 1/x + y
     for keys in levels:
@@ -739,13 +766,14 @@ def test_built_tables_match_the_forward_reference(r):
             assert int_sign(a - d, b, P) >= 0
 
 
-def test_half_plus_half_is_the_unit_class_uninverted():
+def test_half_plus_half_is_the_unit_class_uninverted(monkeypatch):
     # For r = 2, 1/2 + 1/2 = 1 is the one sum whose sign test reads 0: it is
     # stored as it is, with no outer inversion.
     field = FieldParam(2)
-    nodes, levels, _ = built_tables(field.quad(2), 2)
+    _level_of, levels, _inv_of, indexes = built_tables(field.quad(2), 2, monkeypatch)
     assert levels[2] == [(4, 0, 1), (5, 0, 2), (1, 0, 1)]
-    assert nodes[1, 0, 1] == ((2, 0, 1), (2, 0, 1), _FX | _FY)
+    join, _rank = constructor._first_join((1, 0, 1), 2, levels, indexes, {}, field.radicand)
+    assert join == ((2, 0, 1), (2, 0, 1), _FX | _FY)
 
 
 @pytest.mark.parametrize("budget", [10, 11])
