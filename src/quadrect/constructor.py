@@ -33,8 +33,11 @@ key tuple and one ``Quad`` per class and nothing cyclic, so it pauses
 automatic garbage collection, process-wide, while it builds and wraps them;
 the collector would otherwise traverse the growing heap again and again.
 The last of overlapping pauses restores the state that the first one found.
-A search keeps the joins it derives in its own memo, and its own leaf
-record, since r and 1/r share a class but not a leaf orientation.
+A search keeps the joins it derives in its own memo, and makes its own
+leaf, since r and 1/r share a class but not a leaf orientation.  It reads
+a level only once the level's index exists, so never one still being
+built; a build that raises partway drops the class's tables, and the next
+call starts afresh.
 
 The search runs on the bare canonical keys (A, B, D) that ``Quad`` stores
 (see ``exactfield``), through the same key functions, so the hot loop is
@@ -57,7 +60,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
-from typing import Mapping, Union
+from typing import Union
 
 from .exactfield import Key, Quad, int_sign, key_add, key_inv
 from .geometry import Dissection, Point, Rect, rect_ratio
@@ -145,7 +148,7 @@ def _canon(key: Key, P: int) -> tuple[Key, bool]:
 # A join record is (xkey, ykey, code): the class joins x and y side by side,
 # x inverted if code & _FX, y if code & _FY, and the sum is inverted to its
 # representative if code & _OUTER.  (2 * fx + fy) orders the four orientations
-# as the build visits them.  A leaf record is (None, None, rotated).
+# as the build visits them.
 _FY = 1
 _FX = 2
 _OUTER = 4
@@ -215,22 +218,24 @@ def _tables(rep: Key, P: int, n: int) -> Tables:
     """The shared tables of tile class rep, grown to level min(n, CACHED_LEVELS).
 
     Tables are only ever extended, one whole level at a time, and the index
-    of a level is added once the level is complete, so readers need no lock.
-    A level n's classes enter ``level_of`` while it is built, before it is in
-    ``levels``.  A search that meets such a class still finds its tree: n is
-    its first level, as ``setdefault`` keeps the first, and every level below
-    n is complete, so ``_first_join``'s preconditions hold at level n; and
-    ``_first_join`` treats a level with no index yet as not built and settles
-    it by lookup, so it never reads a level in progress.
+    of a level is added once the level is complete, so readers need no lock
+    as long as they read a level only through its index: a level's classes
+    enter ``level_of`` while it is built.  A build that raises partway drops
+    the class's tables from the cache, so the next call starts afresh; a
+    reader still holding them sees only their complete levels.
     """
     with _cache_lock:
         tables = _cache[rep, P] = _cache.pop((rep, P), None) or _tile_level(rep)
         if len(_cache) > CACHED_CLASSES:
             _cache.popitem(last=False)
         level_of, levels, inv_of, indexes = tables
-        while len(levels) <= min(n, CACHED_LEVELS):
-            _build_level(level_of, levels, inv_of, P)
-            indexes.append({k: y for y, k in enumerate(levels[-1])})
+        try:
+            while len(levels) <= min(n, CACHED_LEVELS):
+                _build_level(level_of, levels, inv_of, P)
+                indexes.append({k: y for y, k in enumerate(levels[-1])})
+        except BaseException:
+            _cache.pop((rep, P), None)
+            raise
         return tables
 
 
@@ -303,17 +308,6 @@ def _first_join(
     return None
 
 
-def _build_tree(nodes: Mapping, key: Key, inv: bool) -> CompositionTree:
-    lk, rk, code = nodes[key]
-    if lk is None:
-        return Leaf(rotated=code != inv)
-    fl, fr = bool(code & _FX), bool(code & _FY)
-    if bool(code & _OUTER) != inv:
-        # The mirror of a side-by-side join is a stack of mirrored children.
-        return VJoin(_build_tree(nodes, lk, not fl), _build_tree(nodes, rk, not fr))
-    return HJoin(_build_tree(nodes, lk, fl), _build_tree(nodes, rk, fr))
-
-
 def _check_search_inputs(r: Quad, max_leaves: int) -> None:
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
@@ -337,48 +331,41 @@ def construct_dissection(y: Quad, r: Quad, max_leaves: int = 8) -> CompositionTr
     P = r.field.radicand
     rep, rotated = _canon(r.key, P)
     tkey, tinv = _canon(y.key, P)
-    level_of, levels, _, indexes = _tables(rep, P, 1)
-    # Every level below ``built`` is complete, so a target not in
-    # ``level_of`` after it is read lies at or beyond it; one in it is at
-    # its first level, which a warm table may hold beyond the budget.
-    built = len(levels)
-    n = level_of.get(tkey)
+    # a level is read only through its index, so only once it is complete
+    _, levels, _, indexes = _tables(rep, P, 1)
     memo: dict = {}
-    if n is None:
-        for n in range(built, max_leaves + 1):
-            if n <= min(max_leaves - 2, CACHED_LEVELS):
-                level_of, levels, _, indexes = _tables(rep, P, n)
-                if tkey in level_of:
-                    n = level_of[tkey]
-                    break
-            elif n > 2 * CACHED_LEVELS + 1:
-                # level n's lookup would scan the unbuilt levels up to n/2
-                raise ValueError(
-                    f"no witness within {n - 1} tiles; the search reaches no further")
-            else:
-                memo[tkey, n] = _first_join(tkey, n, levels, indexes, memo, P)
-                if memo[tkey, n] is not None:
-                    break
+    for n in range(1, max_leaves + 1):
+        if len(indexes) <= n <= min(max_leaves - 2, CACHED_LEVELS):
+            _, levels, _, indexes = _tables(rep, P, n)
+        if n < len(indexes):
+            if tkey in indexes[n]:
+                break
+        elif n > 2 * CACHED_LEVELS + 1:
+            # level n's lookup would scan the unbuilt levels up to n/2
+            raise ValueError(
+                f"no witness within {n - 1} tiles; the search reaches no further")
         else:
-            return None
-    if n > max_leaves:
+            memo[tkey, n] = _first_join(tkey, n, levels, indexes, memo, P)
+            if memo[tkey, n] is not None:
+                break
+    else:
         return None
-    # Each class's record is its first join at its one level, read down from
-    # the target: a hit of rank (i, ...) at level m joins a class of level i
-    # with one of level m - i.  The leaf is this call's own, as r and 1/r
-    # share a class but not a leaf orientation.
-    records = {rep: (None, None, rotated)}
-    todo = [(tkey, n)]
-    while todo:
-        k, m = todo.pop()
-        if k in records:
-            continue
+
+    def tree(k: Key, m: int, inv: bool) -> CompositionTree:
+        # class k of level m, inverted if inv; its first join, of rank
+        # (i, ...), joins a class of level i with one of level m - i
+        if m == 1:
+            return Leaf(rotated=rotated != inv)
         if (k, m) not in memo:
             memo[k, m] = _first_join(k, m, levels, indexes, memo, P)
-        join, (i, *_) = memo[k, m]
-        records[k] = join
-        todo += (join[0], i), (join[1], m - i)
-    return _build_tree(records, tkey, tinv)
+        (lk, rk, code), (i, *_) = memo[k, m]
+        fl, fr = bool(code & _FX), bool(code & _FY)
+        if bool(code & _OUTER) != inv:
+            # The mirror of a side-by-side join is a stack of mirrored children.
+            return VJoin(tree(lk, i, not fl), tree(rk, m - i, not fr))
+        return HJoin(tree(lk, i, fl), tree(rk, m - i, fr))
+
+    return tree(tkey, n, tinv)
 
 
 def ratio_class_rep(y: Quad) -> Quad:

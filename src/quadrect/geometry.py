@@ -44,6 +44,12 @@ __all__ = [
 
 _HALF = Fraction(1, 2)
 
+# Most cells, nx * ny, of an induced grid: the sweep and the cover count keep
+# a few integers per cell.  ``verify`` of a 2,000-step staircase, at the cap,
+# takes 0.9-1.4 s and 114 MB peak RSS in a fresh process, and ``complete``
+# 0.75-1.25 s and 83 MB (Python 3.11, shared 2-vCPU x86-64 host).
+MAX_GRID_CELLS = 4_000_000
+
 
 class InvalidDissectionError(ValueError):
     """A dissection failed verification where a valid one was required."""
@@ -385,19 +391,24 @@ def build_cell_grid(region: Polygon, tiles: Sequence[Rect]) -> CellGrid:
     hi)``, and a cell's sum is its winding number: 1 inside, and 0 outside
     or in a hole, because ``Polygon`` requires the outer loop to have
     positive area and each hole negative area.  The region's sorted axes
-    and index loops are reused.
+    and index loops are reused.  A grid of more than ``MAX_GRID_CELLS``
+    cells raises ValueError before anything per cell is allocated.
     """
     _require_one_field(region, tiles)
     xs = {x for t in tiles for x in (t.x, t.x2)}
     ys = {y for t in tiles for y in (t.y, t.y2)}
     sx, xi, xmap = _merge_axis(region._xs, xs)
     sy, yi, ymap = _merge_axis(region._ys, ys)
+    nx, ny = len(sx) - 1, len(sy) - 1
+    if nx * ny > MAX_GRID_CELLS:
+        raise ValueError(f"induced grid has {nx * ny:,} cells ({nx} x {ny}),"
+                         f" above the cap of {MAX_GRID_CELLS:,}")
     spans = (
         ((0, xmap[k], ymap[lo], ymap[hi]), d)
         for loop in region._index_loops
         for k, lo, hi, d in _vertical_spans(loop)
     )
-    inside = _box_counts(spans, len(sx) - 1, len(sy) - 1)
+    inside = _box_counts(spans, nx, ny)
     return CellGrid(sx, sy, inside, xi, yi)
 
 

@@ -13,11 +13,13 @@ import pytest
 from quadrect import (
     Dissection,
     FieldParam,
+    build_cell_grid,
     decide_polygon,
     format_rat,
     pinwheel_dissection,
     verify_tiling,
 )
+from quadrect import geometry
 from quadrect.cli import run
 from quadrect.exactfield import MAX_LITERAL_CHARS
 from quadrect.jsonio import (
@@ -422,6 +424,30 @@ class TestLiteralCap:
         path = tmp_path / "cap.json"
         path.write_text(json.dumps(doc))
         self.check(capsys, ["decide", "polygon", "--instance", str(path), f"--r={r}"], over)
+
+
+class TestGridCap:
+    """One cell above ``geometry.MAX_GRID_CELLS`` is an input error for
+    every command that builds the induced grid; at the cap it runs."""
+
+    @pytest.mark.parametrize("command, with_tiles", [
+        (["verify"], True), (["decide", "polygon", "--r", "3"], True), (["complete"], False),
+    ], ids=["verify", "decide_polygon", "complete"])
+    @pytest.mark.parametrize("over", [False, True], ids=["at_cap", "one_over"])
+    def test_commands(self, capsys, monkeypatch, pinwheel_file, command, with_tiles, over):
+        inst = load_instance(pinwheel_file)
+        grid = build_cell_grid(inst.region, inst.tiles if with_tiles else ())
+        cells = grid.nx * grid.ny
+        monkeypatch.setattr(geometry, "MAX_GRID_CELLS", cells - over)
+        code = run([*command, "--instance", str(pinwheel_file)])
+        captured = capsys.readouterr()
+        if over:
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == (f"error: induced grid has {cells} cells"
+                                    f" ({grid.nx} x {grid.ny}), above the cap of {cells - 1}\n")
+        else:
+            assert code == 0, captured.err
 
 
 class TestInvariantsCommands:

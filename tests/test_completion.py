@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from quadrect import (
     FieldParam,
+    build_cell_grid,
     complete_to_rectangle,
     polygon_area,
     square_with_hole_polygon,
     verify_complement,
 )
+from quadrect import geometry
 from quadrect.samples import l_shape, random_rectilinear_polygon, rect_of
 
 F2 = FieldParam(2)
@@ -107,3 +111,19 @@ class TestDeterminism:
             F2, Fraction(-1, 2), Fraction(1, 3), Fraction(7, 2), 2
         ).to_polygon()
         assert complete_to_rectangle(region).added == ()
+
+
+@pytest.mark.parametrize("over", [False, True], ids=["at_cap", "one_over"])
+def test_verify_complement_grid_cap(monkeypatch, over):
+    # the checker's grid has the region's axes; one cell above the cap is an
+    # input error, as for every other caller of build_cell_grid
+    region = square_with_hole_polygon(F2.quad(3), F2.quad(1))
+    comp = complete_to_rectangle(region)
+    grid = build_cell_grid(region, ())
+    cells = grid.nx * grid.ny
+    monkeypatch.setattr(geometry, "MAX_GRID_CELLS", cells - over)
+    if over:
+        with pytest.raises(ValueError, match=f"induced grid has {cells} cells"):
+            verify_complement(region, comp.bounding, comp.added)
+    else:
+        assert verify_complement(region, comp.bounding, comp.added)

@@ -28,7 +28,7 @@ import gc
 import random
 import sys
 import threading
-from collections import ChainMap
+from collections import ChainMap, Counter
 from fractions import Fraction
 from functools import cache
 
@@ -47,7 +47,7 @@ from quadrect import (
     tree_ratio,
 )
 from quadrect import constructor
-from quadrect.constructor import _FX, _FY, _OUTER, _build_tree, _canon
+from quadrect.constructor import _FX, _FY, _OUTER, _canon
 from quadrect.exactfield import int_sign, key_add, key_inv
 
 PS = [Fraction(2), Fraction(3), Fraction(5), Fraction(5, 2)]
@@ -113,6 +113,20 @@ def ref_expand(r, max_leaves, target):
         if target_entry is not None and target_entry[0] in nodes:
             break
     return nodes, levels, target_entry
+
+
+def _build_tree(nodes, key, inv):
+    """The tree of class key, inverted if inv, read off the forward records:
+    a join record (xkey, ykey, code) as in ``constructor``, or a leaf record
+    (None, None, rotated)."""
+    lk, rk, code = nodes[key]
+    if lk is None:
+        return Leaf(rotated=code != inv)
+    fl, fr = bool(code & _FX), bool(code & _FY)
+    if bool(code & _OUTER) != inv:
+        # The mirror of a side-by-side join is a stack of mirrored children.
+        return VJoin(_build_tree(nodes, lk, not fl), _build_tree(nodes, rk, not fr))
+    return HJoin(_build_tree(nodes, lk, fl), _build_tree(nodes, rk, fr))
 
 
 def ref_construct(y, r, max_leaves):
@@ -634,20 +648,50 @@ def test_threads_on_a_cold_cache_match_a_serial_run(cold_cache):
 
 def test_a_class_whose_level_is_still_being_built(cold_cache):
     # While one thread builds level n, the classes it has met are in
-    # ``level_of`` but level n is in neither ``levels`` nor ``indexes``; a
-    # search that meets one there must still return the reference tree.
+    # ``level_of`` but level n has no index yet.  A search reads a level only
+    # through its index, so it settles such a class by lookup and must still
+    # return the reference tree.
     r, nodes, ref_levels, _ = silver_table(2)
     P = r.field.radicand
-    level_of, levels, inv_of, _indexes = constructor._tables(ref_levels[1][0], P, 6)
+    level_of, levels, inv_of, indexes = constructor._tables(ref_levels[1][0], P, 6)
     constructor._build_level(level_of, levels, inv_of, P)
     levels.pop()
+    assert len(indexes) == 7 and set(ref_levels[7]) <= level_of.keys()
     try:
         for key in sample(random.Random("building"), ref_levels[7], 4):
             for y, inv in targets(r, key):
-                assert construct_dissection(y, r, TOP) == _build_tree(nodes, key, inv)
+                # budget 8 builds up to level 6 and looks levels 7 and 8 up
+                assert construct_dissection(y, r, 8) == _build_tree(nodes, key, inv)
                 assert construct_dissection(y, r, 6) is None
     finally:
         cold_cache()
+
+
+def test_a_build_that_raises_partway_leaves_no_partial_level(monkeypatch, cold_cache):
+    # Interrupt level 5's build once 21 of its classes are in ``level_of``:
+    # the class's tables must be dropped, so the next call builds them again
+    # from level 1 instead of on top of the partial level.
+    field = FieldParam(2)
+    r = field.one + field.sqrt_p
+    P = field.radicand
+    level_of, _levels, _inv_of, _indexes = constructor._tables(r.key, P, 4)
+    complete = len(level_of)
+    key_inv_ = constructor.key_inv
+
+    def interrupted(key, P):
+        if len(level_of) - complete >= 21:
+            raise KeyboardInterrupt
+        return key_inv_(key, P)
+
+    with monkeypatch.context() as m:
+        m.setattr(constructor, "key_inv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            reachable_ratios(r, 5)
+    assert len(level_of) - complete == 21
+    assert cached_tables(r) is None
+    sizes = Counter(reachable_ratios(r, 7).values())
+    assert [sizes[n] for n in range(1, 8)] == [1, 3, 10, 37, 158, 693, 3265]
+    assert_consistent(cached_tables(r))
 
 
 @pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
